@@ -8,6 +8,17 @@ uniformly random spanning tree, and the product of the recorded p values
 along any computation path equals the probability of that path: the fraction
 of spanning trees consistent with its decisions.
 
+Exact mode (graphs up to ``EXACT_SAMPLER_THRESHOLD`` vertices) reports r as
+the ``Fraction`` s / tau, where tau counts the spanning trees of the current
+multigraph and s those containing the edge. Both come from one
+``TreeCountEngine`` per run (``_adjugate``): it keeps the adjugate of the
+grounded Laplacian as residues modulo word-size primes and updates it by a
+rank-one step per deletion or contraction, O(n^2) word operations instead of
+a big-integer determinant per edge. s is recovered by CRT over enough primes
+to exceed twice Hadamard's bound on tau and checked against a spare prime;
+tau is tracked as an exact integer. Above the threshold r is a float from a
+dense Laplacian solve.
+
 A Wilson loop-erased-walk sampler is included as an independent oracle.
 
 Randomness: one ``random.Random`` stream per run. A regular run consumes
@@ -26,7 +37,7 @@ from random import Random
 
 import numpy as np
 
-from ._linalg import laplacian_minor_det
+from ._adjugate import TreeCountEngine
 from .graphs import EmbeddedMultiGraph
 from .spectral import DisconnectedGraphError
 
@@ -93,6 +104,8 @@ class SampleTrace:
     tree: frozenset[int]
     complete: bool
     initial_trees: int | None
+    # True when every r is an exact Fraction, False on the float path.
+    exact: bool
     # Potential values from a pile tracker, one per prefix: pebbles[0] is the
     # initial potential and pebbles[i] the value after step i. Optional; filled
     # in by the pebbles module.
@@ -182,24 +195,34 @@ def find_bridges(edges: dict[int, tuple[int, int]], vertices) -> set[int]:
 
 
 class _RunState:
-    """Mutable multigraph view used inside a run (original edge ids kept)."""
+    """Mutable multigraph view used inside a run (original edge ids kept).
 
-    __slots__ = ("edges", "vertices", "trees")
+    In exact mode the tree counts come from a ``TreeCountEngine`` built on
+    first use and updated by every later contraction and deletion.
+    """
 
-    def __init__(self, g: EmbeddedMultiGraph, exact: bool):
+    __slots__ = ("edges", "vertices", "exact", "_engine", "_primes")
+
+    def __init__(self, g: EmbeddedMultiGraph, exact: bool, primes=None):
         if not g.is_connected():
             raise DisconnectedGraphError("graph is not connected")
         self.edges: dict[int, tuple[int, int]] = g.edges_dict()
         self.vertices: set[int] = set(g.vertices)
-        self.trees: int | None = None
-        if exact:
-            self.trees = self._minor_det(frozenset([min(self.vertices)]))
+        self.exact = exact
+        self._engine: TreeCountEngine | None = None
+        self._primes = primes
 
-    def _minor_det(self, excluded) -> int:
-        return laplacian_minor_det(sorted(self.vertices), self.edges.values(), excluded)
+    def _tree_counts(self) -> TreeCountEngine:
+        if self._engine is None:
+            self._engine = TreeCountEngine(self.vertices, self.edges, self._primes)
+        return self._engine
+
+    @property
+    def trees(self) -> int | None:
+        return self._tree_counts().tau if self.exact else None
 
     def trees_containing(self, u: int, v: int) -> int:
-        return self._minor_det({u, v})
+        return self._tree_counts().trees_containing(u, v)
 
     def resistance_float(self, u: int, v: int) -> float:
         kept = sorted(w for w in self.vertices if w != v)
@@ -223,10 +246,13 @@ class _RunState:
         return float(x[idx[u]])
 
     def contract(self, e: int) -> None:
-        u, v = self.edges.pop(e)
+        u, v = self.edges[e]
         keep, gone = (u, v) if u < v else (v, u)
         if keep == gone:
             raise SamplerError("cannot contract a self-loop")
+        if self._engine is not None:
+            self._engine.contract(u, v)
+        del self.edges[e]
         for f, (x, y) in list(self.edges.items()):
             nx = keep if x == gone else x
             ny = keep if y == gone else y
@@ -235,6 +261,9 @@ class _RunState:
         self.vertices.discard(gone)
 
     def delete(self, e: int) -> None:
+        u, v = self.edges[e]
+        if self._engine is not None and u != v:
+            self._engine.delete(u, v)
         del self.edges[e]
 
 
@@ -264,8 +293,7 @@ def _run(
             r: Fraction | float = Fraction(0) if exact else 0.0
             forced = "deleted"
         elif exact:
-            cont = state.trees_containing(u, v)
-            r = Fraction(cont, state.trees)
+            r = Fraction(state.trees_containing(u, v), state.trees)
             if r == 1:
                 forced = "contracted"
         else:
@@ -296,14 +324,10 @@ def _run(
         if action == "contracted":
             p = r
             state.contract(e)
-            if exact:
-                state.trees = cont if u != v else state.trees
             tree.append(e)
         else:
             p = 1 - r
             state.delete(e)
-            if exact and u != v:
-                state.trees -= cont
         if pending is not None:
             pending.discard(e)
         steps.append(
@@ -318,7 +342,11 @@ def _run(
         )
     complete = len(state.vertices) < 2
     return SampleTrace(
-        steps=tuple(steps), tree=frozenset(tree), complete=complete, initial_trees=initial
+        steps=tuple(steps),
+        tree=frozenset(tree),
+        complete=complete,
+        initial_trees=initial,
+        exact=exact,
     )
 
 
@@ -374,8 +402,9 @@ def run_constrained_deletions(
     order = list(delete_edges)
     if len(set(order)) != len(order):
         raise SamplerError("duplicate edges in deletion set")
+    edges = g.edges_dict()
     for e in order:
-        if e not in g.edges_dict():
+        if e not in edges:
             raise SamplerError(f"no edge {e}")
     decisions = {e: "deleted" for e in order}
     trace = replay_decisions(
@@ -420,15 +449,12 @@ def sample_deletion_run(
             r: Fraction | float = Fraction(0) if exact else 0.0
             forced = True
         elif exact:
-            cont = state.trees_containing(u, v)
-            r = Fraction(cont, state.trees)
+            r = Fraction(state.trees_containing(u, v), state.trees)
             forced = False
         else:
             r = state.resistance_float(u, v)
             forced = r <= FLOAT_FORCED_TOL
         state.delete(e)
-        if exact and u != v:
-            state.trees -= cont
         steps.append(
             TraceStep(
                 index=index,
@@ -444,6 +470,7 @@ def sample_deletion_run(
         tree=frozenset(state.edges),
         complete=False,
         initial_trees=initial,
+        exact=exact,
     )
 
 
@@ -507,7 +534,7 @@ class CachedTreeSampler:
         self._nodes: dict[tuple[int, ...], tuple] = {}
 
     def _expand(self, bits: tuple[int, ...]) -> tuple:
-        state = _RunState(self._g, exact=False)
+        state = _RunState(self._g, exact=True)
         pos = 0
         tree: list[int] = []
         while len(state.vertices) >= 2 and state.edges:
@@ -529,10 +556,7 @@ class CachedTreeSampler:
                     state.delete(e)
                 pos += 1
                 continue
-            verts = sorted(state.vertices)
-            total = laplacian_minor_det(verts, state.edges.values(), {verts[0]})
-            cont = laplacian_minor_det(verts, state.edges.values(), {u, v})
-            node = ("coin", e, Fraction(cont, total))
+            node = ("coin", e, Fraction(state.trees_containing(u, v), state.trees))
             self._nodes[bits] = node
             return node
         node = ("end", frozenset(tree))

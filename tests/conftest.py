@@ -8,6 +8,7 @@ tests all read from it.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from treescore import make_grid, verify_run_products
 from treescore.fixtures import (
@@ -17,6 +18,12 @@ from treescore.fixtures import (
     make_theta,
     make_twelve_county,
 )
+
+# Property tests draw the same examples on every run, keep no example
+# database and never fail on a slow example: tier-1 must be deterministic on
+# a loaded machine.
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 RUN_CORPUS_SPEC = {
     # (grid name, mode) -> (runs, base seed); 1,000 runs per mode in total.

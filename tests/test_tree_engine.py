@@ -1,0 +1,125 @@
+"""The sampler's exact tree-count engine against fraction-free determinants.
+
+``TreeCountEngine`` keeps tau(G) and the grounded Laplacian adjugate modulo
+word-size primes under deletions and contractions. Every count it reports
+must equal the Bareiss determinant of the same Laplacian minor, including
+after rebuilds forced by a prime that divides tau.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treescore import make_grid, sample_tree_resistance
+from treescore._adjugate import TreeCountEngine, hadamard_bound, word_primes
+from treescore._linalg import laplacian_minor_det
+from treescore.fixtures import random_planar_multigraph
+from treescore.sampler import _RunState
+
+SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def assert_matches_oracle(state):
+    verts = sorted(state.vertices)
+    edges = state.edges.values()
+    assert state.trees == laplacian_minor_det(verts, edges, {verts[0]})
+    for u, v in set(state.edges.values()):
+        if u != v:
+            assert state.trees_containing(u, v) == laplacian_minor_det(verts, edges, {u, v})
+
+
+def edit_and_check(state, ops):
+    """Apply (contract?, pick) edits, checking every count after each one."""
+    assert_matches_oracle(state)
+    for contract, pick in ops:
+        if len(state.vertices) < 2:
+            break
+        e = sorted(state.edges)[pick % len(state.edges)]
+        u, v = state.edges[e]
+        if u != v and (contract or state.trees_containing(u, v) == state.trees):
+            state.contract(e)  # a bridge can only be contracted
+        else:
+            state.delete(e)
+        assert_matches_oracle(state)
+
+
+EDITS = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=25)
+
+
+@given(seed=st.integers(0, 10**6), ops=EDITS)
+@settings(max_examples=60)
+def test_counts_equal_bareiss_under_random_edits(seed, ops):
+    edit_and_check(_RunState(random_planar_multigraph(seed), exact=True), ops)
+
+
+@given(seed=st.integers(0, 10**6), ops=EDITS)
+@settings(max_examples=40)
+def test_counts_equal_bareiss_with_tiny_primes(seed, ops):
+    # Primes this small divide tau often, so the engine keeps rebuilding.
+    state = _RunState(random_planar_multigraph(seed), exact=True, primes=SMALL_PRIMES)
+    edit_and_check(state, ops)
+
+
+def test_prime_dividing_tau_forces_rebuild():
+    g = make_grid(3, 3)  # 192 = 2**6 * 3 spanning trees
+    state = _RunState(g, exact=True, primes=SMALL_PRIMES)
+    assert state.trees == 192
+    engine = state._tree_counts()
+    assert 2 not in engine.primes and 3 not in engine.primes
+    before = engine.primes
+    edit_and_check(state, [(False, 0), (True, 3), (False, 5), (True, 1), (False, 2)] * 3)
+    assert engine.primes != before  # some later tau shared a factor with the set
+
+
+def test_exhausted_prime_pool_raises():
+    g = make_grid(3, 3)
+    with pytest.raises(ArithmeticError):
+        TreeCountEngine(set(g.vertices), g.edges_dict(), primes=[2, 3, 5, 7])
+
+
+def test_spare_prime_catches_a_corrupted_residue():
+    g = make_grid(3, 3)
+    engine = TreeCountEngine(set(g.vertices), g.edges_dict())
+    assert engine.trees_containing(1, 2) == laplacian_minor_det(g.vertices, g.edges_dict().values(), {1, 2})
+    spare = engine._mods[-1]
+    engine._a[-1, 0, 0] = (engine._a[-1, 0, 0] + 1) % spare  # vertex 1, spare prime only
+    with pytest.raises(ArithmeticError):
+        engine.trees_containing(0, 1)
+
+
+def test_word_primes_are_prime_and_below_two_to_the_31():
+    primes = word_primes(40)
+    assert primes == sorted(set(primes), reverse=True)
+    assert primes[0] == 2**31 - 1
+    for p in primes:
+        assert p < 2**31
+        assert all(p % q for q in range(2, int(p**0.5) + 1))
+
+
+def test_chosen_primes_exceed_twice_the_hadamard_bound_on_a_dense_multigraph():
+    n = 14
+    edges = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            for _ in range(3):
+                edges[len(edges)] = (u, v)
+    vertices = set(range(n))
+    engine = TreeCountEngine(vertices, edges)
+    product = 1
+    for p in engine.primes:
+        product *= p
+    bound = hadamard_bound(vertices, edges.values())
+    assert bound == (3 * (n - 1)) ** (n - 1)
+    assert product > 2 * bound
+    assert engine.tau == 3 ** (n - 1) * n ** (n - 2)  # Cayley, each edge tripled
+    assert engine.tau == laplacian_minor_det(sorted(vertices), edges.values(), {0})
+
+
+def test_trace_records_mode():
+    g = make_grid(3, 3)
+    exact = sample_tree_resistance(g, seed=1)
+    assert exact.exact and all(isinstance(s.resistance, Fraction) for s in exact.steps)
+    floating = sample_tree_resistance(g, seed=1, exact_threshold=1)
+    assert not floating.exact and floating.initial_trees is None
