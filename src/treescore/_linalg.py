@@ -41,6 +41,31 @@ def det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def reduced_laplacian(kept: list[int], endpoints, m):
+    """Add the multigraph Laplacian, restricted to ``kept``, into ``m`` and return it.
+
+    ``m`` is a caller-supplied zero matrix indexed ``m[i][j]``, row and
+    column i standing for ``kept[i]``: a list of int or ``Fraction`` rows, or
+    a numpy array. ``endpoints`` iterates over (u, v) pairs, one per edge:
+    parallel edges add up, self-loops are skipped, and an endpoint outside
+    ``kept`` (a grounded vertex) contributes only to the other's diagonal.
+    """
+    idx = {v: i for i, v in enumerate(kept)}
+    for u, v in endpoints:
+        if u == v:
+            continue
+        iu = idx.get(u)
+        iv = idx.get(v)
+        if iu is not None:
+            m[iu][iu] += 1
+        if iv is not None:
+            m[iv][iv] += 1
+        if iu is not None and iv is not None:
+            m[iu][iv] -= 1
+            m[iv][iu] -= 1
+    return m
+
+
 def laplacian_minor_det(
     vertices: list[int],
     endpoints,
@@ -54,22 +79,8 @@ def laplacian_minor_det(
     spanning trees containing that edge.
     """
     kept = [v for v in vertices if v not in excluded]
-    idx = {v: i for i, v in enumerate(kept)}
     n = len(kept)
-    m = [[0] * n for _ in range(n)]
-    for u, v in endpoints:
-        if u == v:
-            continue
-        iu = idx.get(u)
-        iv = idx.get(v)
-        if iu is not None:
-            m[iu][iu] += 1
-        if iv is not None:
-            m[iv][iv] += 1
-        if iu is not None and iv is not None:
-            m[iu][iv] -= 1
-            m[iv][iu] -= 1
-    return det_bareiss(m)
+    return det_bareiss(reduced_laplacian(kept, endpoints, [[0] * n for _ in range(n)]))
 
 
 def solve_rational(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .bounds import (
+    CLAIMS,
     LambdaParams,
     verify_exponential_gap,
     verify_pair_dominance,
@@ -47,9 +47,6 @@ from .spectral import (
 )
 
 DEFAULT_ENUM_CAP = 100_000
-ENUM_CAP_ENV = "TREESCORE_ENUM_CAP"
-
-VERIFY_CLAIMS = ("lemma32", "theorem31", "eq4", "corollary")
 COUNTEREXAMPLE_FAMILIES = ("3.3", "3.4")
 
 
@@ -155,21 +152,9 @@ def _cmd_sample_tree(args) -> int:
     return 0
 
 
-def _enum_cap(args) -> int:
-    if args.limit is not None:
-        return args.limit
-    env = os.environ.get(ENUM_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_ENUM_CAP
-
-
 def _cmd_enumerate(args) -> int:
     g = load_graph(args.graph)
-    cap = _enum_cap(args)
+    cap = DEFAULT_ENUM_CAP if args.limit is None else args.limit
     tc = count_spanning_trees(g)
     if not tc.exact or tc.value > cap:
         raise UsageError(
@@ -352,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--limit",
         type=int,
-        help=f"enumeration cap (default {DEFAULT_ENUM_CAP}, env {ENUM_CAP_ENV})",
+        help=f"enumeration cap (default {DEFAULT_ENUM_CAP})",
     )
     _add_output(p)
     p.set_defaults(func=_cmd_enumerate)
@@ -382,7 +367,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_recom)
 
     p = sub.add_parser("verify", help="run a verification report")
-    p.add_argument("--claim", choices=VERIFY_CLAIMS, required=True)
+    p.add_argument("--claim", choices=CLAIMS, required=True)
     _add_graph(p)
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)

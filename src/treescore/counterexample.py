@@ -28,7 +28,7 @@ the straight partition's probability vanishes relative to the ring's.
 The graphs themselves are not constructed (their interiors are only fixed up
 to arbitrary balanced fill); every formula the analysis states is checked
 instead, exactly in rationals wherever feasible. The recurrence is iterated on
-raw integer pairs up to ``exact_limit`` and in high-precision floats beyond;
+raw integer pairs up to ``exact_limit`` and in high-precision decimals beyond;
 the cross-multiplication steps of the induction are exposed as standalone
 integer/rational predicates so they can be property-tested.
 """
@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
 
 __all__ = [
     "CounterexampleError",
@@ -248,11 +247,12 @@ def unbounded_degree_resistances(
 
     Iterations up to ``exact_limit`` use raw integer pairs — one recurrence
     step maps ``p/q`` to ``(p n + 2 q) / (p n + 2 q + q n)`` — so the verdicts
-    are exact. Beyond that the chain continues in ``precision_bits``-bit
-    floating point with a ``2**-(precision_bits//2)`` relative guard on the
-    comparison (the values there are far from the bound, so the guard is
-    cosmetic). ``r0`` must lie in ``(0, 1)``; every iterate is confirmed to
-    stay there.
+    are exact. Beyond that the chain continues in decimal floating point with
+    ``ceil(precision_bits * log10(2)) + 1`` significant digits (at least
+    ``precision_bits`` of binary precision) and a ``2**-(precision_bits//2)``
+    relative guard on the comparison (the values there are far from the
+    bound, so the guard is cosmetic). ``r0`` must lie in ``(0, 1)``; every
+    iterate is confirmed to stay there.
     """
     if n < 1:
         raise CounterexampleError("ring size must be positive")
@@ -272,16 +272,17 @@ def unbounded_degree_resistances(
         bound_ok.append(p * b.denominator <= b.numerator * q)
         values.append(_pair_to_float(p, q))
     if i_max > exact_limit:
-        with mpmath.workprec(precision_bits):
-            r = mpmath.mpf(p) / mpmath.mpf(q)
-            two_over_n = mpmath.mpf(2) / n
-            guard = mpmath.mpf(2) ** (-(precision_bits // 2))
+        with localcontext() as ctx:
+            ctx.prec = math.ceil(precision_bits * math.log10(2)) + 1
+            r = Decimal(p) / Decimal(q)
+            two_over_n = Decimal(2) / n
+            guard = Decimal(2) ** (-(precision_bits // 2))
             for i in range(exact_limit + 1, i_max + 1):
                 r = 1 / (1 + 1 / (r + two_over_n))
                 if not (0 < r < 1):
                     raise CounterexampleError(f"iterate {i} left the unit interval")
                 b = _claim_bound(n, i)
-                limit = mpmath.mpf(b.numerator) / b.denominator
+                limit = Decimal(b.numerator) / b.denominator
                 bound_ok.append(r <= limit * (1 + guard))
                 values.append(float(r))
     return ResistanceChain(
@@ -363,14 +364,16 @@ def unbounded_degree_log_bounds(n: int) -> LogBoundSummary:
 def ratio_bound_threshold() -> int:
     """Smallest ``n`` with ``log2(5) + 18 n^(5/6) - 2n < 0``.
 
-    Solved at 128-bit precision by bisection plus an integer scan; the value
-    is deterministic and serves as a frozen regression constant.
+    Solved with 40 significant decimal digits (about 133 bits) by bisection
+    plus an integer scan; the value is deterministic and serves as a frozen
+    regression constant.
     """
-    with mpmath.workprec(128):
-        log2_5 = mpmath.log(5) / mpmath.log(2)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log2_5 = Decimal(5).ln() / Decimal(2).ln()
 
         def f(x):
-            return log2_5 + 18 * mpmath.mpf(x) ** (mpmath.mpf(5) / 6) - 2 * mpmath.mpf(x)
+            return log2_5 + 18 * Decimal(x) ** (Decimal(5) / 6) - 2 * Decimal(x)
 
         lo, hi = 1, 1
         while f(hi) >= 0:

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,22 +19,6 @@ from .graphs import EmbeddedMultiGraph, InvalidGraphError, induced_subgraph
 from .spectral import count_spanning_trees
 
 ENUMERATION_VERTEX_CAP = 20
-ENUMERATION_CAP_ENV = "TREESCORE_ENUMERATION_CAP"
-
-
-def enumeration_cap() -> int:
-    """Default vertex cap for exhaustive partition enumeration.
-
-    Overridable through the environment so callers with patience can raise
-    it without threading a parameter through every layer.
-    """
-    raw = os.environ.get(ENUMERATION_CAP_ENV)
-    if raw is None:
-        return ENUMERATION_VERTEX_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise PartitionError(f"{ENUMERATION_CAP_ENV} must be an integer") from exc
 
 
 class PartitionError(ValueError):
@@ -100,15 +83,22 @@ class PartitionCheck:
     problems: tuple[str, ...]
 
 
-def validate_partition(g: EmbeddedMultiGraph, p: Partition) -> PartitionCheck:
-    """Exact balance and district connectivity; m must divide |V|."""
-    n = g.num_vertices
-    if p.m < 1:
-        raise PartitionError("m must be at least 1")
-    if n % p.m != 0:
-        raise PartitionError(f"{p.m} does not divide {n} vertices")
-    target = n // p.m
+def _size_within(size: int, n: int, m: int, tolerance: int) -> bool:
+    return abs(size * m - n) <= tolerance * m
+
+
+def check_tolerant_partition(
+    g: EmbeddedMultiGraph, p: Partition, tolerance: int
+) -> list[str]:
+    """Problems with a partition under a balance tolerance (empty = ok).
+
+    Every vertex must be assigned to exactly one district, every district must
+    be connected, and every district size must lie within ``tolerance`` of
+    ``|V|/m`` (compared exactly: ``|size*m - |V|| <= tolerance*m``). With
+    tolerance 0 this is exact balance.
+    """
     problems: list[str] = []
+    n = g.num_vertices
     assigned = {v for v, _ in p.assignment}
     verts = set(g.vertices)
     if assigned != verts:
@@ -118,12 +108,25 @@ def validate_partition(g: EmbeddedMultiGraph, p: Partition) -> PartitionCheck:
             problems.append(f"unassigned vertices {missing}")
         if extra:
             problems.append(f"unknown vertices {extra}")
-        return PartitionCheck(False, tuple(problems))
+        return problems
     for i, block in enumerate(p.districts()):
-        if len(block) != target:
-            problems.append(f"district {i} has {len(block)} vertices, expected {target}")
+        if not _size_within(len(block), n, p.m, tolerance):
+            problems.append(
+                f"district {i} has {len(block)} vertices, expected "
+                f"{Fraction(n, p.m)} within tolerance {tolerance}"
+            )
         elif not induced_subgraph(g, block).is_connected():
             problems.append(f"district {i} is not connected")
+    return problems
+
+
+def validate_partition(g: EmbeddedMultiGraph, p: Partition) -> PartitionCheck:
+    """Exact balance and district connectivity; m must divide |V|."""
+    if p.m < 1:
+        raise PartitionError("m must be at least 1")
+    if g.num_vertices % p.m != 0:
+        raise PartitionError(f"{p.m} does not divide {g.num_vertices} vertices")
+    problems = check_tolerant_partition(g, p, 0)
     return PartitionCheck(not problems, tuple(problems))
 
 
@@ -244,11 +247,11 @@ def enumerate_partitions(
     Exhaustive search: the district containing the smallest unplaced vertex
     is grown as a connected set, and the remainder is pruned unless each of
     its components can still be tiled by whole districts. Graphs above
-    max_vertices (default from enumeration_cap()) are refused; sample
+    max_vertices (default ``ENUMERATION_VERTEX_CAP``) are refused; sample
     instead of enumerating.
     """
     if max_vertices is None:
-        max_vertices = enumeration_cap()
+        max_vertices = ENUMERATION_VERTEX_CAP
     n = g.num_vertices
     if m < 1:
         raise PartitionError("m must be at least 1")

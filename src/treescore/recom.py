@@ -26,7 +26,13 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import EmbeddedMultiGraph, induced_subgraph
-from .partition import Partition, PartitionError, cut_edges
+from .partition import (
+    Partition,
+    PartitionError,
+    _size_within,
+    check_tolerant_partition,
+    cut_edges,
+)
 from .sampler import sample_tree_resistance, sample_tree_wilson
 
 __all__ = [
@@ -181,42 +187,6 @@ class EnsembleStats:
                 str(v): d for v, d in sorted(self.final_partition.as_dict().items())
             }
         return out
-
-
-def _size_within(size: int, n: int, m: int, tolerance: int) -> bool:
-    return abs(size * m - n) <= tolerance * m
-
-
-def check_tolerant_partition(
-    g: EmbeddedMultiGraph, p: Partition, tolerance: int
-) -> list[str]:
-    """Problems with a partition under the chain's balance rule (empty = ok).
-
-    Every vertex must be assigned to exactly one district, every district must
-    be connected, and every district size must lie within ``tolerance`` of
-    ``|V|/m``. With tolerance 0 this is exact balance.
-    """
-    problems: list[str] = []
-    n = g.num_vertices
-    assigned = {v for v, _ in p.assignment}
-    verts = set(g.vertices)
-    if assigned != verts:
-        missing = sorted(verts - assigned)
-        extra = sorted(assigned - verts)
-        if missing:
-            problems.append(f"unassigned vertices {missing}")
-        if extra:
-            problems.append(f"unknown vertices {extra}")
-        return problems
-    for i, block in enumerate(p.districts()):
-        if not _size_within(len(block), n, p.m, tolerance):
-            problems.append(
-                f"district {i} has {len(block)} vertices, outside tolerance "
-                f"{tolerance} of {n}/{p.m}"
-            )
-        elif not induced_subgraph(g, block).is_connected():
-            problems.append(f"district {i} is not connected")
-    return problems
 
 
 def adjacent_district_pairs(g: EmbeddedMultiGraph, p: Partition) -> list[tuple[int, int]]:

@@ -17,7 +17,10 @@ rank-one step per deletion or contraction, O(n^2) word operations instead of
 a big-integer determinant per edge. s is recovered by CRT over enough primes
 to exceed twice Hadamard's bound on tau and checked against a spare prime;
 tau is tracked as an exact integer. Above the threshold r is a float from a
-dense Laplacian solve.
+dense solve of the Laplacian grounded at one endpoint, assembled by
+``_linalg.reduced_laplacian``. Both modes go through one step,
+``_RunState.resistance``, which also decides the forced moves: self-loops,
+r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0 or 1.
 
 A Wilson loop-erased-walk sampler is included as an independent oracle.
 
@@ -38,6 +41,7 @@ from random import Random
 import numpy as np
 
 from ._adjugate import TreeCountEngine
+from ._linalg import reduced_laplacian
 from .graphs import EmbeddedMultiGraph
 from .spectral import DisconnectedGraphError
 
@@ -224,26 +228,31 @@ class _RunState:
     def trees_containing(self, u: int, v: int) -> int:
         return self._tree_counts().trees_containing(u, v)
 
-    def resistance_float(self, u: int, v: int) -> float:
+    def resistance(self, u: int, v: int) -> tuple[Fraction | float, str | None]:
+        """Effective resistance of an edge u-v, and the action it forces, if any.
+
+        A self-loop forces deletion (r = 0). In exact mode r is s / tau and
+        r = 1 forces contraction. Otherwise r comes from a dense solve of the
+        Laplacian grounded at v, snapped to a forced 0 or 1 within
+        ``FLOAT_FORCED_TOL`` and clamped to [0, 1].
+        """
+        if u == v:
+            return (Fraction(0) if self.exact else 0.0), "deleted"
+        if self.exact:
+            r = Fraction(self.trees_containing(u, v), self.trees)
+            return r, ("contracted" if r == 1 else None)
         kept = sorted(w for w in self.vertices if w != v)
-        idx = {w: i for i, w in enumerate(kept)}
         n = len(kept)
-        a = np.zeros((n, n))
-        for x, y in self.edges.values():
-            if x == y:
-                continue
-            ix, iy = idx.get(x), idx.get(y)
-            if ix is not None:
-                a[ix, ix] += 1
-            if iy is not None:
-                a[iy, iy] += 1
-            if ix is not None and iy is not None:
-                a[ix, iy] -= 1
-                a[iy, ix] -= 1
+        iu = kept.index(u)
         b = np.zeros(n)
-        b[idx[u]] = 1.0
-        x = np.linalg.solve(a, b)
-        return float(x[idx[u]])
+        b[iu] = 1.0
+        x = np.linalg.solve(reduced_laplacian(kept, self.edges.values(), np.zeros((n, n))), b)
+        r = float(x[iu])
+        if r >= 1.0 - FLOAT_FORCED_TOL:
+            return 1.0, "contracted"
+        if r <= FLOAT_FORCED_TOL:
+            return 0.0, "deleted"
+        return min(max(r, 0.0), 1.0), None
 
     def contract(self, e: int) -> None:
         u, v = self.edges[e]
@@ -287,25 +296,7 @@ def _run(
             break
         e = policy.select(state.edges)
         index += 1
-        u, v = state.edges[e]
-        forced = None
-        if u == v:
-            r: Fraction | float = Fraction(0) if exact else 0.0
-            forced = "deleted"
-        elif exact:
-            r = Fraction(state.trees_containing(u, v), state.trees)
-            if r == 1:
-                forced = "contracted"
-        else:
-            r = state.resistance_float(u, v)
-            if r >= 1.0 - FLOAT_FORCED_TOL:
-                r = 1.0
-                forced = "contracted"
-            elif r <= FLOAT_FORCED_TOL:
-                r = 0.0
-                forced = "deleted"
-            else:
-                r = min(max(r, 0.0), 1.0)
+        r, forced = state.resistance(*state.edges[e])
 
         if forced is not None:
             action = forced
@@ -444,16 +435,7 @@ def sample_deletion_run(
             break
         e = candidates[rng.randrange(len(candidates))]
         index += 1
-        u, v = state.edges[e]
-        if u == v:
-            r: Fraction | float = Fraction(0) if exact else 0.0
-            forced = True
-        elif exact:
-            r = Fraction(state.trees_containing(u, v), state.trees)
-            forced = False
-        else:
-            r = state.resistance_float(u, v)
-            forced = r <= FLOAT_FORCED_TOL
+        r, forced = state.resistance(*state.edges[e])
         state.delete(e)
         steps.append(
             TraceStep(
@@ -462,7 +444,7 @@ def sample_deletion_run(
                 resistance=r,
                 probability=1 - r,
                 action="deleted",
-                forced=forced,
+                forced=forced is not None,
             )
         )
     return SampleTrace(
@@ -556,7 +538,7 @@ class CachedTreeSampler:
                     state.delete(e)
                 pos += 1
                 continue
-            node = ("coin", e, Fraction(state.trees_containing(u, v), state.trees))
+            node = ("coin", e, state.resistance(u, v)[0])
             self._nodes[bits] = node
             return node
         node = ("end", frozenset(tree))

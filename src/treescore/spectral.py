@@ -4,6 +4,11 @@ Counts come from the reduced Laplacian determinant, evaluated with exact
 integer arithmetic up to a size threshold. The effective resistance of an
 edge equals the probability that a uniformly random spanning tree contains
 it, which is also the ratio of two such determinants.
+
+Every matrix here is built by ``_linalg.reduced_laplacian``, which fixes the
+rules once: the grounded vertex is left out of the kept list, self-loops are
+skipped and parallel edges add up. The integer, ``Fraction`` and float
+variants differ only in the zero matrix they are given.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import laplacian_minor_det, log2_int, solve_rational
+from ._linalg import laplacian_minor_det, log2_int, reduced_laplacian, solve_rational
 from .graphs import EmbeddedMultiGraph
 
 EXACT_COUNT_THRESHOLD = 2048
@@ -80,19 +85,7 @@ def count_spanning_trees(
     if n <= exact_threshold:
         value = laplacian_minor_det(verts, _endpoint_iter(g), {verts[-1]})
         return TreeCount(value, True, log2_int(value))
-    idx = {v: i for i, v in enumerate(verts[:-1])}
-    m = np.zeros((n - 1, n - 1))
-    for u, v in _endpoint_iter(g):
-        if u == v:
-            continue
-        iu, iv = idx.get(u), idx.get(v)
-        if iu is not None:
-            m[iu, iu] += 1
-        if iv is not None:
-            m[iv, iv] += 1
-        if iu is not None and iv is not None:
-            m[iu, iv] -= 1
-            m[iv, iu] -= 1
+    m = reduced_laplacian(verts[:-1], _endpoint_iter(g), np.zeros((n - 1, n - 1)))
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0:
         return TreeCount(0, True, None)
@@ -174,18 +167,7 @@ def solve_flow(
     n = len(kept)
 
     if exact:
-        a = [[Fraction(0)] * n for _ in range(n)]
-        for u, v in _endpoint_iter(g):
-            if u == v:
-                continue
-            iu, iv = idx.get(u), idx.get(v)
-            if iu is not None:
-                a[iu][iu] += 1
-            if iv is not None:
-                a[iv][iv] += 1
-            if iu is not None and iv is not None:
-                a[iu][iv] -= 1
-                a[iv][iu] -= 1
+        a = reduced_laplacian(kept, _endpoint_iter(g), [[Fraction(0)] * n for _ in range(n)])
         b = [Fraction(0)] * n
         b[idx[source]] = Fraction(1)
         x = solve_rational(a, b)
@@ -194,18 +176,7 @@ def solve_flow(
     else:
         from scipy.linalg import cho_factor, cho_solve
 
-        a = np.zeros((n, n))
-        for u, v in _endpoint_iter(g):
-            if u == v:
-                continue
-            iu, iv = idx.get(u), idx.get(v)
-            if iu is not None:
-                a[iu, iu] += 1
-            if iv is not None:
-                a[iv, iv] += 1
-            if iu is not None and iv is not None:
-                a[iu, iv] -= 1
-                a[iv, iu] -= 1
+        a = reduced_laplacian(kept, _endpoint_iter(g), np.zeros((n, n)))
         b = np.zeros(n)
         b[idx[source]] = 1.0
         factor = cho_factor(a)

@@ -138,16 +138,10 @@ def test_enumerate(tmp_path):
     assert len(data["trees"]) == 4
 
 
-def test_enumerate_cap(grid_file, monkeypatch):
+def test_enumerate_cap(grid_file):
     code, _, stderr = run_cli("enumerate", "--graph", grid_file, "--limit", "10")
     assert code == 1
     assert "cap" in json.loads(stderr.strip())["error"]
-    monkeypatch.setenv("TREESCORE_ENUM_CAP", "10")
-    code, _, stderr = run_cli("enumerate", "--graph", grid_file)
-    assert code == 1
-    monkeypatch.setenv("TREESCORE_ENUM_CAP", "not-a-number")
-    code, _, stderr = run_cli("enumerate", "--graph", grid_file)
-    assert code == 1
 
 
 def test_distribution_json(grid44_file):

@@ -5,11 +5,17 @@ resistance recurrence against direct rational iteration, and each inductive
 implication chain against brute-forced premises.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treescore
 from treescore import (
     CounterexampleError,
     bound_step_implication_early,
@@ -211,3 +217,21 @@ def test_recurrence_bound_step_sweep():
     for n in (16, 100, 1000):
         for i in range(1, 30):
             assert recurrence_bound_step(n, i)
+
+
+def test_runs_without_mpmath():
+    # The high-precision phase and the threshold use the standard library only.
+    script = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "import treescore\n"
+        "from treescore.cli import main\n"
+        "from treescore.counterexample import ratio_bound_threshold\n"
+        "assert ratio_bound_threshold() == 531448\n"
+        "sys.exit(main(['counterexample', '--theorem', '3.4', '--n', '10', '--i-max', '10010']))\n"
+    )
+    src = str(Path(treescore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    chain = json.loads(proc.stdout)["resistances"]
+    assert chain["holds"] is True and chain["iterations"] == 10010

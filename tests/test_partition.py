@@ -168,15 +168,6 @@ def test_enumeration_size_guard():
         list(enumerate_partitions(make_grid(5, 5), 5, max_vertices=10))
 
 
-def test_enumeration_cap_env(monkeypatch):
-    monkeypatch.setenv("TREESCORE_ENUMERATION_CAP", "4")
-    with pytest.raises(PartitionError):
-        list(enumerate_partitions(make_grid(3, 3), 3))
-    monkeypatch.setenv("TREESCORE_ENUMERATION_CAP", "not-a-number")
-    with pytest.raises(PartitionError):
-        list(enumerate_partitions(make_grid(3, 3), 3))
-
-
 def test_distribution_2x2(grid22):
     table = spanning_tree_distribution(grid22, 2)
     assert len(table.entries) == 2

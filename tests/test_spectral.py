@@ -6,9 +6,12 @@ listing. The counting identities (deletion-contraction, sum rule, bounds
 from cycles and stars) are checked as properties over the fixture suite.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treescore import (
     DisconnectedGraphError,
@@ -19,6 +22,7 @@ from treescore import (
     induced_subgraph,
     make_grid,
     resistance_fraction,
+    sample_tree_resistance,
     solve_flow,
 )
 from treescore.fixtures import (
@@ -28,6 +32,7 @@ from treescore.fixtures import (
     make_theta,
     make_twelve_county,
     planar_fixture_suite,
+    random_planar_multigraph,
 )
 from treescore.spectral import InvalidCycleError, check_cycle_bound, check_degree_bound
 
@@ -211,3 +216,40 @@ def test_district_scores_multiply(twelve_county):
         int(count_spanning_trees(induced_subgraph(twelve_county, b))) for b in compact
     ]
     assert sorted(scores) == [3, 8, 8]
+
+
+# The float consumers of the reduced-Laplacian builder against exact answers
+# on multigraphs with parallel edges and self-loops.
+MULTIGRAPHS = st.builds(
+    random_planar_multigraph, st.integers(0, 10**6), st.sampled_from((8, 12))
+)
+
+
+@given(g=MULTIGRAPHS)
+@settings(max_examples=60)
+def test_float_count_matches_exact(g):
+    approx = count_spanning_trees(g, exact_threshold=1)
+    assert not approx.exact
+    assert approx.log2 == pytest.approx(math.log2(int(count_spanning_trees(g))), abs=1e-9)
+
+
+@given(g=MULTIGRAPHS, pick=st.integers(0, 10**6))
+@settings(max_examples=60)
+def test_float_flow_matches_exact(g, pick):
+    verts = g.vertices
+    n = len(verts)
+    i = pick % n
+    source, sink = verts[i], verts[(i + 1 + (pick // n) % (n - 1)) % n]
+    exact = solve_flow(g, source, sink, exact=True)
+    approx = solve_flow(g, source, sink, exact=False)
+    assert not approx.exact
+    for v in verts:
+        assert approx.voltages[v] == pytest.approx(float(exact.voltages[v]), abs=1e-9)
+
+
+@given(g=MULTIGRAPHS, seed=st.integers(0, 10**6))
+@settings(max_examples=60)
+def test_float_sampler_certificate_matches_tree_count(g, seed):
+    trace = sample_tree_resistance(g, seed=seed, exact_threshold=1)
+    assert not trace.exact and trace.complete
+    assert trace.p_product() == pytest.approx(1 / int(count_spanning_trees(g)), rel=1e-9)
