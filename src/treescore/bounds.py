@@ -17,7 +17,7 @@ c2 = 1 - 1/k1 where (k1, k2) bound vertex and face degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from ._linalg import log2_fraction
@@ -31,7 +31,7 @@ from .partition import (
     validate_partition,
 )
 from .sampler import run_constrained_deletions
-from .spectral import count_spanning_trees
+from .spectral import TreeCount, count_spanning_trees
 
 CLAIMS = ("lemma32", "theorem31", "eq4", "corollary")
 GUARD = 1e-9
@@ -249,9 +249,14 @@ def verify_score_ratio(
     survival probabilities, which must telescope to the same ratio.
     """
     _require_bounded(g, k1, k2)
-    c1, c2 = _constants(k1, k2)
+    return _score_ratio_report(g, p, *_constants(k1, k2), count_spanning_trees(g))
+
+
+def _score_ratio_report(
+    g: EmbeddedMultiGraph, p: Partition, c1: Fraction, c2: Fraction, trees: TreeCount
+) -> BoundReport:
+    """The body of :func:`verify_score_ratio` on a certified graph with ``trees`` trees."""
     score = spanning_tree_score(g, p)
-    trees = count_spanning_trees(g)
     b = cut_edges(g, p).size
     expo = b - p.m + 1
     violations: list = []
@@ -334,26 +339,21 @@ def verify_score_ratio(
 def verify_score_ratios(
     g: EmbeddedMultiGraph, m: int, k1: int, k2: int, max_vertices: int | None = None
 ) -> BoundReport:
-    """verify_score_ratio over every balanced connected m-partition."""
+    """verify_score_ratio over every balanced connected m-partition.
+
+    The graph is certified and its trees counted once for all partitions.
+    """
     from .partition import enumerate_partitions
 
     _require_bounded(g, k1, k2)
-    reports = [
-        verify_score_ratio(g, p, k1, k2)
-        for p in enumerate_partitions(g, m, max_vertices=max_vertices)
-    ]
-    if not reports:
+    partitions = list(enumerate_partitions(g, m, max_vertices=max_vertices))
+    if not partitions:
         raise PartitionError("no balanced connected partitions exist")
-    merged = merge_reports(*reports)
-    return BoundReport(
-        claim=merged.claim,
-        instances_checked=merged.instances_checked,
-        applicable=merged.applicable,
-        violations=merged.violations,
-        margins=merged.margins,
-        c1=merged.c1,
-        c2=merged.c2,
-        notes=(f"enumerated {len(reports)} partitions with m={m}",),
+    c1, c2 = _constants(k1, k2)
+    trees = count_spanning_trees(g)
+    reports = [_score_ratio_report(g, p, c1, c2, trees) for p in partitions]
+    return replace(
+        merge_reports(*reports), notes=(f"enumerated {len(reports)} partitions with m={m}",)
     )
 
 

@@ -7,7 +7,8 @@ report contains violations, so CI pipelines can gate on the result.
 Exact values are emitted as decimal strings or ``num/den`` strings, never
 as floats: JSON numbers lose precision above 2**53 and these outputs are
 meant to be reproducible bit for bit. Stochastic subcommands require an
-explicit ``--seed`` for the same reason.
+explicit ``--seed`` for the same reason. Values that are floats to begin
+with, such as the sampler's above its exact threshold, stay JSON numbers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bounds import (
     CLAIMS,
@@ -39,7 +39,7 @@ from .graphs import (
 from .partition import load_partition, spanning_tree_distribution
 from .pebbles import verify_run_products
 from .recom import ChainConfig, run_chain
-from .sampler import sample_tree_resistance, sample_tree_wilson, trace_to_jsonl
+from .sampler import _num, sample_tree_resistance, sample_tree_wilson, trace_to_jsonl
 from .spectral import (
     count_spanning_trees,
     effective_resistance,
@@ -63,10 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: D401 - argparse override
         raise UsageError(message)
-
-
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -119,7 +115,7 @@ def _cmd_resistance(args) -> int:
         "approx": res.approx,
     }
     if res.exact is not None:
-        payload["resistance"] = _fr(res.exact)
+        payload["resistance"] = _num(res.exact)
     _emit_json(payload, args.output)
     return 0
 
@@ -143,7 +139,7 @@ def _cmd_sample_tree(args) -> int:
             "tree": sorted(trace.tree),
             "steps": len(trace.steps),
             "complete": trace.complete,
-            "probability-product": _fr(trace.p_product()),
+            "probability-product": _num(trace.p_product()),
         }
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -179,13 +175,13 @@ def _cmd_distribution(args) -> int:
         "m": table.m,
         "graph-trees": str(table.graph_trees),
         "total-score": str(table.total_score),
-        "beta": _fr(table.beta),
+        "beta": _num(table.beta),
         "entries": [
             {
                 "partition-hash": ent.digest,
                 "cut-edges": ent.cut_size,
                 "score": str(ent.score),
-                "probability": _fr(ent.probability),
+                "probability": _num(ent.probability),
             }
             for ent in sorted(table.entries, key=lambda x: x.digest)
         ],

@@ -275,18 +275,15 @@ class BoundednessCertificate:
         }
 
 
-def check_bounded(g: EmbeddedMultiGraph, k1: int, k2: int) -> BoundednessCertificate:
-    """Check vertex/face degree bounds with one exemption on each side.
+def bound_violations(
+    g: EmbeddedMultiGraph, dual: DualGraph, k1: int, k2: int, v0: int, f0: int
+) -> list[tuple]:
+    """Everything that keeps ``g`` from being (k1, k2)-bounded with exemptions v0, f0.
 
-    v0 is the maximum-degree vertex (ties broken by lowest id) and f0 the
-    maximum-degree face, so the certificate holds whenever any exemption
-    choice would make it hold on this embedding.
+    ``dual`` is ``g.trace_faces()``. Each violation is ``(kind, id, value)``:
+    vertex degrees above k1, face degrees above k2, self-loops, then bridges
+    (self-loops of the dual, reported with their face); empty means bounded.
     """
-    if k1 < 1 or k2 < 1:
-        raise ValueError("degree bounds must be positive")
-    dual = g.trace_faces()
-    v0 = max(g.vertices, key=lambda v: (g.degree(v), -v))
-    f0 = max(dual.faces, key=lambda f: (dual.face_degree[f], -f))
     violations: list[tuple] = []
     for v in g.vertices:
         if v != v0 and g.degree(v) > k1:
@@ -299,6 +296,22 @@ def check_bounded(g: EmbeddedMultiGraph, k1: int, k2: int) -> BoundednessCertifi
             violations.append(("self-loop", e, 0))
     for e in sorted(dual.bridges()):
         violations.append(("bridge", e, dual.dual_edges[e][0]))
+    return violations
+
+
+def check_bounded(g: EmbeddedMultiGraph, k1: int, k2: int) -> BoundednessCertificate:
+    """Check vertex/face degree bounds with one exemption on each side.
+
+    v0 is the maximum-degree vertex (ties broken by lowest id) and f0 the
+    maximum-degree face, so the certificate holds whenever any exemption
+    choice would make it hold on this embedding.
+    """
+    if k1 < 1 or k2 < 1:
+        raise ValueError("degree bounds must be positive")
+    dual = g.trace_faces()
+    v0 = max(g.vertices, key=lambda v: (g.degree(v), -v))
+    f0 = max(dual.faces, key=lambda f: (dual.face_degree[f], -f))
+    violations = bound_violations(g, dual, k1, k2, v0, f0)
     return BoundednessCertificate(
         k1=k1, k2=k2, v0=v0, f0=f0, holds=not violations, violations=tuple(violations)
     )

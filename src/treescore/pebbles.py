@@ -48,9 +48,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import log2_fraction
-from .bounds import GUARD, BoundReport, BoundsError, merge_reports
-from .graphs import BoundednessCertificate, EmbeddedMultiGraph, check_bounded
-from .sampler import EdgePolicy, SampleTrace, sample_deletion_run, sample_tree_resistance
+from .bounds import GUARD, BoundReport, BoundsError, _require_bounded, merge_reports
+from .graphs import BoundednessCertificate, EmbeddedMultiGraph, bound_violations
+from .sampler import EdgePolicy, SampleTrace, _num, sample_deletion_run, sample_tree_resistance
 
 __all__ = [
     "PebbleError",
@@ -170,8 +170,8 @@ class PebbleHistory:
                     "action": s.action,
                     "pile-x": s.pile_x,
                     "pile-y": s.pile_y,
-                    "check-value": _fmt_number(s.check_value),
-                    "threshold": _fmt_number(s.threshold),
+                    "check-value": _num(s.check_value),
+                    "threshold": _num(s.threshold),
                     "ok": s.ok,
                 }
                 for s in self.steps
@@ -180,14 +180,6 @@ class PebbleHistory:
             "violations": [dict(v) for v in self.violations],
             "notes": list(self.notes),
         }
-
-
-def _fmt_number(x) -> object:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return x
-    return float(x)
 
 
 def _ge(lhs, rhs) -> bool:
@@ -239,26 +231,12 @@ def track_pebbles(
         raise PebbleError(f"exempt face {f0} is not a face of the embedding")
     if k1 < 1 or k2 < 1:
         raise PebbleError("degree bounds must be positive")
-    for e in g.edge_ids:
-        if g.is_loop(e):
-            raise PebbleError(f"input graph has a self-loop ({e}); not degree-bounded")
-    bridges = dual.bridges()
-    if bridges:
+    unbounded = bound_violations(g, dual, k1, k2, v0, f0)
+    if unbounded:
         raise PebbleError(
-            f"input graph has a bridge ({min(bridges)}); not degree-bounded"
+            f"graph is not ({k1},{k2})-degree-bounded for exempt vertex {v0} and "
+            f"exempt face {f0}: first violation {unbounded[0]}"
         )
-    for v in g.vertices:
-        if v != v0 and g.degree(v) > k1:
-            raise PebbleError(
-                f"vertex {v} has degree {g.degree(v)} > k1={k1}; graph is not "
-                f"degree-bounded for exempt vertex {v0}"
-            )
-    for f in dual.faces:
-        if f != f0 and dual.face_degree[f] > k2:
-            raise PebbleError(
-                f"face {f} has degree {dual.face_degree[f]} > k2={k2}; graph is "
-                f"not degree-bounded for exempt face {f0}"
-            )
 
     verts = _UnionFind(g.vertices)
     faces = _UnionFind(dual.faces.keys())
@@ -667,12 +645,7 @@ def verify_run_products(
         raise BoundsError("need at least one run")
     if mode not in ("deletion", "mixed"):
         raise BoundsError(f"unknown mode {mode!r}")
-    cert = check_bounded(g, k1, k2)
-    if not cert.holds:
-        raise BoundsError(
-            f"graph is not ({k1}, {k2})-degree-bounded: "
-            + "; ".join(str(v) for v in cert.violations)
-        )
+    cert = _require_bounded(g, k1, k2)
     reports = []
     pebble_failures: list[dict] = []
     outside_runs = 0

@@ -276,9 +276,20 @@ def recom_step(
     After a successful split, the side containing the merged region's smallest
     vertex keeps the smaller of the two district labels.
     """
+    _require_valid(g, p, cfg)
+    return _step(g, p, rng, cfg)
+
+
+def _require_valid(g: EmbeddedMultiGraph, p: Partition, cfg: ChainConfig) -> None:
     problems = check_tolerant_partition(g, p, cfg.balance_tolerance)
     if problems:
         raise PartitionError("; ".join(problems))
+
+
+def _step(
+    g: EmbeddedMultiGraph, p: Partition, rng: random.Random, cfg: ChainConfig
+) -> StepResult:
+    """The body of :func:`recom_step`, for a partition already checked."""
     if p.m < 2:
         raise RecomError("need at least two districts to merge")
     pairs = adjacent_district_pairs(g, p)
@@ -316,19 +327,20 @@ def recom_step(
 def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> EnsembleStats:
     """Run the chain from ``p0`` and record every visited partition.
 
-    Deterministic given ``(g, p0, cfg)``. Every recorded partition — the start
-    included — is re-checked under the balance rule; a failure raises, since
-    it would mean the step construction is broken.
+    Deterministic given ``(g, p0, cfg)``. Every visited partition is checked
+    under the balance rule exactly once: the start on entry, and each new split
+    when a step produces it (a skipped step keeps the partition already
+    checked). An invalid start raises
+    :class:`~treescore.partition.PartitionError`; an invalid split raises
+    :class:`RecomError`, since it would mean the step construction is broken.
     """
-    problems = check_tolerant_partition(g, p0, cfg.balance_tolerance)
-    if problems:
-        raise PartitionError("; ".join(problems))
+    _require_valid(g, p0, cfg)
     rng = random.Random(cfg.seed)
     p = p0
     samples = [SampleRecord(0, cut_edges(g, p).size, p.digest())]
     skipped = 0
     for step in range(1, cfg.steps + 1):
-        result = recom_step(g, p, rng, cfg)
+        result = _step(g, p, rng, cfg)
         p = result.partition
         if result.skipped:
             skipped += 1

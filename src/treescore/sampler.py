@@ -115,7 +115,7 @@ class SampleTrace:
     # in by the pebbles module.
     pebbles: tuple[int, ...] | None = None
 
-    def p_product(self) -> Fraction:
+    def p_product(self) -> Fraction | float:
         prod = Fraction(1)
         for s in self.steps:
             prod *= s.probability

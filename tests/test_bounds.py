@@ -240,3 +240,29 @@ def test_derivation_chain_descends():
 def test_derivation_chain_rejects_trivial_cut():
     with pytest.raises(BoundsError):
         derivation_chain(0, 5, 2, 4, 4, 1.0, 1.0, Fraction(1), Fraction(1))
+
+
+def test_score_ratios_certify_and_count_the_graph_once(monkeypatch):
+    import treescore.bounds as bounds
+
+    g = make_grid(4, 4)
+    certified, counted = [], []
+    real_check, real_count = bounds.check_bounded, bounds.count_spanning_trees
+
+    def check(h, k1, k2):
+        certified.append(h)
+        return real_check(h, k1, k2)
+
+    def count(h, *args, **kwargs):
+        counted.append(h)
+        return real_count(h, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "check_bounded", check)
+    monkeypatch.setattr(bounds, "count_spanning_trees", count)
+    report = verify_score_ratios(g, 2, 4, 4)
+    assert report.holds and report.instances_checked == 70
+    assert certified == [g]
+    assert sum(h is g for h in counted) == 1
+    certified.clear()
+    verify_score_ratios(g, 4, 4, 4)
+    assert certified == [g]

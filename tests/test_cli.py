@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from treescore import graph_to_json_str, load_graph, make_grid, save_graph
+from treescore import count_spanning_trees, graph_to_json_str, load_graph, make_grid, save_graph
 from treescore.cli import main
 
 
@@ -325,3 +325,23 @@ def test_output_flag_redirects(grid_file, tmp_path):
     assert code == 0
     assert stdout == ""
     assert json.loads(out_file.read_text())["spanning_trees"] == "192"
+
+
+def test_sample_tree_float_path(tmp_path):
+    """Above the exact threshold the certificate is a float JSON number."""
+    g = make_grid(9, 9)
+    graph, trace = tmp_path / "g.json", tmp_path / "t.jsonl"
+    save_graph(g, graph)
+    code, stdout, stderr = run_cli("sample-tree", "--graph", str(graph), "--seed", "1",
+                                   "--trace", str(trace))
+    assert code == 0, stderr
+    data = json.loads(stdout)
+    assert len(data["tree"]) == 80 and data["complete"] is True
+    product = data["probability-product"]
+    assert isinstance(product, float)
+    assert product == pytest.approx(1 / int(count_spanning_trees(g)), rel=1e-9)
+    steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    prod = 1.0
+    for rec in steps:
+        prod *= rec["p"]
+    assert product == prod

@@ -10,10 +10,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treescore import (
     Partition,
     PartitionError,
+    check_tolerant_partition,
     count_spanning_trees,
     cut_edges,
     enumerate_partitions,
@@ -30,6 +33,7 @@ from treescore import (
 )
 from treescore.fixtures import (
     make_twelve_county,
+    random_planar_multigraph,
     twelve_county_compact_partition,
     twelve_county_stringy_partition,
 )
@@ -224,3 +228,50 @@ def test_partition_json_malformed():
         partition_from_json({"assignment": {"0": 0}})
     with pytest.raises(ValueError):
         partition_from_json({"m": 2, "assignment": "nope"})
+
+
+def subgraph_oracle_problems(g, p, tolerance):
+    """The tolerant check with connectivity decided on the induced subgraph."""
+    n = g.num_vertices
+    assigned = {v for v, _ in p.assignment}
+    verts = set(g.vertices)
+    if assigned != verts:
+        problems = []
+        if verts - assigned:
+            problems.append(f"unassigned vertices {sorted(verts - assigned)}")
+        if assigned - verts:
+            problems.append(f"unknown vertices {sorted(assigned - verts)}")
+        return problems
+    problems = []
+    for i, block in enumerate(p.districts()):
+        if abs(len(block) * p.m - n) > tolerance * p.m:
+            problems.append(
+                f"district {i} has {len(block)} vertices, expected "
+                f"{Fraction(n, p.m)} within tolerance {tolerance}"
+            )
+        elif not induced_subgraph(g, block).is_connected():
+            problems.append(f"district {i} is not connected")
+    return problems
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    size=st.integers(2, 12),
+    m=st.integers(1, 4),
+    tolerance=st.integers(0, 2),
+    data=st.data(),
+)
+@settings(max_examples=300)
+def test_tolerant_check_matches_subgraph_oracle(seed, size, m, tolerance, data):
+    g = random_planar_multigraph(seed, max_vertices=size)
+    verts = g.vertices
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=len(verts), max_size=len(verts)))
+    assignment = dict(zip(verts, labels))
+    # Districts that no label names stay empty; now and then a vertex is left
+    # out or an unknown one is added.
+    for v in data.draw(st.lists(st.sampled_from(verts), max_size=2)):
+        assignment.pop(v, None)
+    for k in data.draw(st.lists(st.integers(1, 3), max_size=1)):
+        assignment[max(verts) + k] = k % m
+    p = Partition.from_dict(m, assignment)
+    assert check_tolerant_partition(g, p, tolerance) == subgraph_oracle_problems(g, p, tolerance)

@@ -25,7 +25,8 @@ from treescore import (
     trace_to_jsonl,
     verify_run_products,
 )
-from treescore.fixtures import make_diamond
+from treescore.fixtures import make_diamond, planar_fixture_suite
+from treescore.graphs import bound_violations
 
 
 def tracked(g, seed, k1=4, k2=4, deletion=False):
@@ -227,3 +228,32 @@ def test_verify_run_products_rejects_unbounded(grid44):
 def test_verify_run_products_rejects_unknown_mode(grid33):
     with pytest.raises(BoundsError):
         verify_run_products(grid33, 4, 4, runs=2, mode="sideways", seed=0)
+
+
+def test_pebble_precondition_is_the_shared_bound_check():
+    """track_pebbles refuses a graph exactly when bound_violations lists something
+    for its exemptions: check_bounded's, and a minimum-degree vertex instead of
+    the maximum-degree one."""
+    refused_only_off_max = 0
+    for name, g in planar_fixture_suite():
+        dual = g.trace_faces()
+        trace = sample_tree_resistance(g, seed=0)
+        low = min(g.vertices, key=lambda v: (g.degree(v), v))
+        for k1 in range(1, 6):
+            for k2 in range(1, 6):
+                cert = check_bounded(g, k1, k2)
+                assert list(cert.violations) == bound_violations(g, dual, k1, k2, cert.v0, cert.f0)
+                refused = []
+                for v0 in (cert.v0, low):
+                    expected = bound_violations(g, dual, k1, k2, v0, cert.f0)
+                    try:
+                        track_pebbles(trace, g, v0, cert.f0, k1, k2)
+                    except PebbleError as exc:
+                        assert expected, (name, k1, k2, v0, exc)
+                        assert str(expected[0]) in str(exc)
+                        refused.append(True)
+                    else:
+                        assert not expected, (name, k1, k2, v0)
+                        refused.append(False)
+                refused_only_off_max += refused == [False, True]
+    assert refused_only_off_max > 0

@@ -18,6 +18,7 @@ from treescore import (
     run_chain,
     validate_partition,
 )
+from treescore import recom
 from treescore.fixtures import make_twelve_county, twelve_county_compact_partition
 
 
@@ -66,6 +67,11 @@ def test_tolerant_validation(grid22):
     assert problems and all("tolerance" in s for s in problems)
     diagonal = Partition.from_dict(2, {0: 0, 3: 0, 1: 1, 2: 1})
     assert any("connected" in s for s in check_tolerant_partition(grid22, diagonal, 0))
+    # an empty district within the tolerance still counts as disconnected
+    all_in_one = Partition.from_dict(2, {0: 0, 1: 0, 2: 0})
+    assert check_tolerant_partition(make_grid(3, 1), all_in_one, 2) == [
+        "district 1 is not connected"
+    ]
 
 
 def test_adjacent_pairs(twelve_county):
@@ -204,3 +210,45 @@ def test_csv_and_json_output(grid22):
     assert len(blob["samples"]) == 6
     hist = stats.histogram_json()
     assert sum(hist["histogram"].values()) == 6
+
+
+@pytest.mark.parametrize("sampler", recom.TREE_SAMPLERS)
+def test_run_chain_checks_each_visited_partition_once(monkeypatch, grid44, sampler):
+    checked = []
+    real = recom.check_tolerant_partition
+
+    def counting(g, p, tolerance):
+        checked.append(p)
+        return real(g, p, tolerance)
+
+    monkeypatch.setattr(recom, "check_tolerant_partition", counting)
+    p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
+    stats = run_chain(grid44, p, ChainConfig(steps=60, seed=3, max_resample=1,
+                                             tree_sampler=sampler))
+    accepted = stats.steps - stats.skipped_steps
+    assert accepted > 0 and stats.skipped_steps > 0
+    assert len(checked) == 1 + accepted
+    assert checked[0] == p
+    assert checked[-1].digest() == stats.final_partition.digest()
+
+
+def test_run_chain_names_the_step_that_cuts_an_unbalanced_side(monkeypatch, grid44):
+    steps = []
+    real_pairs, real_balance = recom.adjacent_district_pairs, recom.balance_edges
+
+    def pairs(g, p):
+        steps.append(p)
+        return real_pairs(g, p)
+
+    def lopsided(sub, tree, n, m, tolerance):
+        if len(steps) < 3:
+            return real_balance(sub, tree, n, m, tolerance)
+        # the tree edges that leave a side of other than n/m vertices, a leaf edge among them
+        return [c for c in real_balance(sub, tree, n, m, n) if len(c[1]) * m != n]
+
+    monkeypatch.setattr(recom, "adjacent_district_pairs", pairs)
+    monkeypatch.setattr(recom, "balance_edges", lopsided)
+    p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
+    with pytest.raises(RecomError, match="step 3 produced an invalid partition"):
+        run_chain(grid44, p, ChainConfig(steps=10, seed=1))
+    assert len(steps) == 3
