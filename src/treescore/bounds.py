@@ -23,6 +23,8 @@ from fractions import Fraction
 from ._linalg import log2_fraction
 from .graphs import EmbeddedMultiGraph, check_bounded
 from .partition import (
+    DistEntry,
+    DistributionTable,
     Partition,
     PartitionError,
     cut_edges,
@@ -94,10 +96,6 @@ class BoundReport:
         }
 
 
-def _as_number(x) -> float:
-    return float(x)
-
-
 def merge_reports(*reports: BoundReport) -> BoundReport:
     """Combine reports for the same claim; margins keep the minimum slack."""
     if not reports:
@@ -111,7 +109,7 @@ def merge_reports(*reports: BoundReport) -> BoundReport:
     for r in reports:
         violations.extend(r.violations)
         for k, v in r.margins.items():
-            if k not in margins or _as_number(v) < _as_number(margins[k]):
+            if k not in margins or float(v) < float(margins[k]):
                 margins[k] = v
         for n in r.notes:
             if n not in notes:
@@ -215,6 +213,13 @@ def partition_deletion_set(
     check = validate_partition(g, p)
     if not check.valid:
         raise PartitionError(f"invalid partition: {check.problems[0]}")
+    return _deletion_set(g, p, cut_edges(g, p).edges)
+
+
+def _deletion_set(
+    g: EmbeddedMultiGraph, p: Partition, cut: frozenset[int]
+) -> tuple[list[int], list[int]]:
+    """The body of :func:`partition_deletion_set` for a valid partition with cut ``cut``."""
     assign = p.as_dict()
     parent = list(range(p.m))
 
@@ -226,7 +231,7 @@ def partition_deletion_set(
 
     retained: list[int] = []
     deletable: list[int] = []
-    for e in sorted(cut_edges(g, p).edges):
+    for e in sorted(cut):
         u, v = g.endpoints(e)
         du, dv = find(assign[u]), find(assign[v])
         if du != dv:
@@ -249,21 +254,23 @@ def verify_score_ratio(
     survival probabilities, which must telescope to the same ratio.
     """
     _require_bounded(g, k1, k2)
-    return _score_ratio_report(g, p, *_constants(k1, k2), count_spanning_trees(g))
+    c1, c2 = _constants(k1, k2)
+    trees = count_spanning_trees(g)
+    return _score_ratio_report(g, p, spanning_tree_score(g, p), c1, c2, trees)
 
 
 def _score_ratio_report(
-    g: EmbeddedMultiGraph, p: Partition, c1: Fraction, c2: Fraction, trees: TreeCount
+    g: EmbeddedMultiGraph, p: Partition, score: int, c1: Fraction, c2: Fraction, trees: TreeCount
 ) -> BoundReport:
-    """The body of :func:`verify_score_ratio` on a certified graph with ``trees`` trees."""
-    score = spanning_tree_score(g, p)
-    b = cut_edges(g, p).size
+    """The body of :func:`verify_score_ratio` for a valid ``p`` and a certified ``g``."""
+    cut = cut_edges(g, p)
+    b = cut.size
     expo = b - p.m + 1
     violations: list = []
     notes: list[str] = []
     margins: dict = {}
 
-    deletable, retained = partition_deletion_set(g, p)
+    deletable, retained = _deletion_set(g, p, cut.edges)
     prob, remaining = run_constrained_deletions(g, deletable)
 
     if trees.exact:
@@ -341,20 +348,73 @@ def verify_score_ratios(
 ) -> BoundReport:
     """verify_score_ratio over every balanced connected m-partition.
 
-    The graph is certified and its trees counted once for all partitions.
+    The graph is certified once, and the plans, their scores and trees(G)
+    come from :func:`~treescore.partition.spanning_tree_distribution`.
     """
-    from .partition import enumerate_partitions
-
     _require_bounded(g, k1, k2)
-    partitions = list(enumerate_partitions(g, m, max_vertices=max_vertices))
-    if not partitions:
-        raise PartitionError("no balanced connected partitions exist")
+    table = spanning_tree_distribution(g, m, max_vertices=max_vertices)
     c1, c2 = _constants(k1, k2)
-    trees = count_spanning_trees(g)
-    reports = [_score_ratio_report(g, p, c1, c2, trees) for p in partitions]
+    trees = TreeCount(table.graph_trees)
+    reports = [
+        _score_ratio_report(g, e.partition, e.score, c1, c2, trees) for e in table.entries
+    ]
     return replace(
         merge_reports(*reports), notes=(f"enumerated {len(reports)} partitions with m={m}",)
     )
+
+
+# --- cut-size blocks --------------------------------------------------------
+
+
+def _cut_blocks(table: DistributionTable) -> dict[int, list[DistEntry]]:
+    """The table's entries grouped by cut size, in order of first appearance."""
+    classes: dict[int, list[DistEntry]] = {}
+    for ent in table.entries:
+        classes.setdefault(ent.cut_size, []).append(ent)
+    return classes
+
+
+def _keep_least(margins: dict, key: str, value: float) -> None:
+    if key not in margins or value < margins[key]:
+        margins[key] = value
+
+
+def _sweep_cut_blocks(table, premise, holds, bound_log2, kind, violations, margins):
+    """Decide a pairwise claim on Pr[P1]/Pr[P2] one cut-size block at a time.
+
+    Walks the ordered cut-size pairs (b1, b2), b1 >= 1, that meet
+    ``premise``. A block is decided by its extreme scores (least at b1,
+    greatest at b2); only if ``holds`` fails there are its failing pairs
+    listed in ``violations``, up to ``MAX_LISTED_VIOLATIONS`` entries. The
+    least ``log2(s1/s2) - bound_log2(b1, b2)`` is kept in ``margins``.
+    Yields ``(b1, b2, worst1, worst2, pairs)`` after each block.
+    """
+    classes = _cut_blocks(table)
+    for b1, ents1 in classes.items():
+        if b1 < 1:
+            continue  # only the one-district plan has no cut; the claims divide by b1
+        for b2, ents2 in classes.items():
+            if not premise(b1, b2):
+                continue
+            worst1 = min(ents1, key=lambda e: e.score)
+            worst2 = max(ents2, key=lambda e: e.score)
+            if not holds(worst1.score, worst2.score, b1, b2):
+                for e1 in ents1:
+                    for e2 in ents2:
+                        if (
+                            not holds(e1.score, e2.score, b1, b2)
+                            and len(violations) < MAX_LISTED_VIOLATIONS
+                        ):
+                            violations.append(
+                                {"kind": kind, "p1": e1.partition.digest(),
+                                 "p2": e2.partition.digest(), "cut1": b1, "cut2": b2,
+                                 "score1": e1.score, "score2": e2.score}
+                            )
+            slack = (
+                log2_fraction(Fraction(worst1.score, worst2.score)) - bound_log2(b1, b2)
+            )
+            _keep_least(margins, "conclusion-slack-log2", slack)
+            yield b1, b2, worst1, worst2, len(ents1) * len(ents2)
 
 
 # --- pair dominance --------------------------------------------------------
@@ -428,80 +488,37 @@ def verify_pair_dominance(
     eps_exact = Fraction(epsilon)
 
     table = spanning_tree_distribution(g, m, max_vertices=max_vertices)
-    classes: dict[int, list] = {}
-    for ent in table.entries:
-        classes.setdefault(ent.cut_size, []).append(ent)
-    sizes = {b: len(v) for b, v in classes.items()}
     n = len(table.entries)
+    trees = table.graph_trees
+
+    def premise(b1: int, b2: int) -> bool:
+        return Fraction(b1) >= Fraction(m - 1) / eps_exact and b2 >= lam * b1 * (1 + GUARD)
+
+    def dominates(s1: int, s2: int, b1: int, b2: int) -> bool:
+        return Fraction(s1) >= alpha_exact * s2
 
     violations: list = []
     margins: dict = {}
     applicable = 0
     applicable_blocks = 0
-    trees = table.graph_trees
-
-    def premise(bb1: int, bb2: int) -> bool:
-        if bb1 < 1:
-            return False
-        if Fraction(bb1) < Fraction(m - 1) / eps_exact:
-            return False
-        return bb2 >= lam * bb1 * (1 + GUARD)
-
-    for b1, ents1 in classes.items():
-        for b2, ents2 in classes.items():
-            if not premise(b1, b2):
-                continue
-            applicable += sizes[b1] * sizes[b2]
-            applicable_blocks += 1
-            worst1 = min(ents1, key=lambda e: e.score)
-            worst2 = max(ents2, key=lambda e: e.score)
-            ok = Fraction(worst1.score) >= alpha_exact * worst2.score
-            if not ok:
-                for e1 in ents1:
-                    for e2 in ents2:
-                        if Fraction(e1.score) < alpha_exact * e2.score:
-                            if len(violations) < MAX_LISTED_VIOLATIONS:
-                                violations.append(
-                                    {
-                                        "kind": "dominance",
-                                        "p1": e1.partition.digest(),
-                                        "p2": e2.partition.digest(),
-                                        "cut1": b1,
-                                        "cut2": b2,
-                                        "score1": e1.score,
-                                        "score2": e2.score,
-                                    }
-                                )
-            slack = (
-                log2_fraction(Fraction(worst1.score, worst2.score))
-                - math.log2(alpha)
-            )
-            if (
-                "conclusion-slack-log2" not in margins
-                or slack < margins["conclusion-slack-log2"]
-            ):
-                margins["conclusion-slack-log2"] = slack
-            chain = derivation_chain(
-                b1, b2, m, k1, k2, alpha, epsilon,
-                Fraction(worst1.score, trees), Fraction(worst2.score, trees),
-            )
-            for idx, s in enumerate(chain_slacks(chain), start=1):
-                key = f"chain-{idx}-slack-log2"
-                if key not in margins or s < margins[key]:
-                    margins[key] = s
-                tol = GUARD * max(1.0, abs(chain[idx - 1][1]), abs(chain[idx][1]))
-                if s < -tol:
-                    violations.append(
-                        {
-                            "kind": "chain",
-                            "step": idx,
-                            "from": chain[idx - 1][0],
-                            "to": chain[idx][0],
-                            "cut1": b1,
-                            "cut2": b2,
-                            "slack-log2": s,
-                        }
-                    )
+    for b1, b2, worst1, worst2, pairs in _sweep_cut_blocks(
+        table, premise, dominates, lambda b1, b2: math.log2(alpha),
+        "dominance", violations, margins,
+    ):
+        applicable += pairs
+        applicable_blocks += 1
+        chain = derivation_chain(
+            b1, b2, m, k1, k2, alpha, epsilon,
+            Fraction(worst1.score, trees), Fraction(worst2.score, trees),
+        )
+        for idx, s in enumerate(chain_slacks(chain), start=1):
+            _keep_least(margins, f"chain-{idx}-slack-log2", s)
+            tol = GUARD * max(1.0, abs(chain[idx - 1][1]), abs(chain[idx][1]))
+            if s < -tol:
+                violations.append(
+                    {"kind": "chain", "step": idx, "from": chain[idx - 1][0],
+                     "to": chain[idx][0], "cut1": b1, "cut2": b2, "slack-log2": s}
+                )
 
     notes = [
         f"lambda = {lam:.6f}",
@@ -552,15 +569,8 @@ def verify_exponential_gap(
     _require_bounded(g, k1, k2)
     c1, c2 = _constants(k1, k2)
     table = spanning_tree_distribution(g, m, max_vertices=max_vertices)
-    classes: dict[int, list] = {}
-    for ent in table.entries:
-        classes.setdefault(ent.cut_size, []).append(ent)
     n = len(table.entries)
     grow = Fraction(k1, k1 - 1)
-
-    violations: list = []
-    margins: dict = {}
-    applicable = 0
 
     def alpha_at_least_one(b1: int, b2: int) -> bool:
         return grow ** (b2 - b1) >= Fraction(2 * k2) ** b1
@@ -570,44 +580,19 @@ def verify_exponential_gap(
         rhs = Fraction(1, 2 * k2) ** b1 * grow ** (b2 - b1)
         return lhs >= rhs
 
-    for b1, ents1 in classes.items():
-        if b1 < 1:
-            continue
-        for b2, ents2 in classes.items():
-            if not alpha_at_least_one(b1, b2):
-                continue
-            applicable += len(ents1) * len(ents2)
-            worst1 = min(ents1, key=lambda e: e.score)
-            worst2 = max(ents2, key=lambda e: e.score)
-            if not conclusion_holds(worst1.score, worst2.score, b1, b2):
-                for e1 in ents1:
-                    for e2 in ents2:
-                        if not conclusion_holds(e1.score, e2.score, b1, b2):
-                            if len(violations) < MAX_LISTED_VIOLATIONS:
-                                violations.append(
-                                    {
-                                        "kind": "gap",
-                                        "p1": e1.partition.digest(),
-                                        "p2": e2.partition.digest(),
-                                        "cut1": b1,
-                                        "cut2": b2,
-                                        "score1": e1.score,
-                                        "score2": e2.score,
-                                    }
-                                )
-            slack = (
-                log2_fraction(Fraction(worst1.score, worst2.score))
-                - gap_alpha_log2(b1, b2, k1, k2)
-            )
-            if (
-                "conclusion-slack-log2" not in margins
-                or slack < margins["conclusion-slack-log2"]
-            ):
-                margins["conclusion-slack-log2"] = slack
+    violations: list = []
+    margins: dict = {}
+    applicable = sum(
+        pairs
+        for *_, pairs in _sweep_cut_blocks(
+            table, alpha_at_least_one, conclusion_holds,
+            lambda b1, b2: gap_alpha_log2(b1, b2, k1, k2), "gap", violations, margins,
+        )
+    )
 
-    cuts = sorted(classes)
+    classes = _cut_blocks(table)
     notes = [f"{applicable} applicable ordered pairs out of {n * n}"]
-    low, high = cuts[0], cuts[-1]
+    low, high = min(classes), max(classes)
     if low >= 1 and high > low:
         e1 = min(classes[low], key=lambda e: e.score)
         e2 = max(classes[high], key=lambda e: e.score)

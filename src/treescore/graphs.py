@@ -11,6 +11,7 @@ deletion and contraction can preserve the embedding combinatorially.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 Dart = tuple[int, int]
@@ -128,16 +129,19 @@ class EmbeddedMultiGraph:
 
     # --- embedding-preserving operations ---------------------------------
 
-    def delete_edge(self, e: int) -> "EmbeddedMultiGraph":
-        """Remove edge e, keeping all vertices. The result may be disconnected."""
-        if e not in self._edges:
-            raise InvalidGraphError(f"no edge {e}")
-        u, v = self._edges[e]
-        edges = dict(self._edges)
-        del edges[e]
-        rotation = {w: list(r) for w, r in self._rotation.items()}
-        rotation[u] = [d for d in rotation[u] if d[0] != e]
-        rotation[v] = [d for d in rotation[v] if d[0] != e]
+    def delete_edge(self, e: int | Iterable[int]) -> "EmbeddedMultiGraph":
+        """Remove edge e, or every edge in a collection of ids, keeping all vertices.
+
+        The graph is copied once however many edges go; the result equals
+        deleting them one at a time, and may be disconnected.
+        """
+        gone = [e] if isinstance(e, int) else list(e)
+        for f in gone:
+            if f not in self._edges:
+                raise InvalidGraphError(f"no edge {f}")
+        gone = set(gone)
+        edges = {f: uv for f, uv in self._edges.items() if f not in gone}
+        rotation = {w: [d for d in r if d[0] not in gone] for w, r in self._rotation.items()}
         return EmbeddedMultiGraph(edges, rotation, self.labels, validate=False)
 
     def contract_edge(self, e: int) -> "EmbeddedMultiGraph":

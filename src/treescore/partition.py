@@ -145,6 +145,11 @@ def spanning_tree_score(g: EmbeddedMultiGraph, p: Partition) -> int:
     check = validate_partition(g, p)
     if not check.valid:
         raise PartitionError("; ".join(check.problems))
+    return _score(g, p)
+
+
+def _score(g: EmbeddedMultiGraph, p: Partition) -> int:
+    """The body of :func:`spanning_tree_score`, for a partition known to be valid."""
     score = 1
     for block in p.districts():
         score *= int(count_spanning_trees(induced_subgraph(g, block)))
@@ -173,9 +178,7 @@ def quotient_graph(g: EmbeddedMultiGraph, p: Partition) -> EmbeddedMultiGraph:
         u, v = q.endpoints(intra)
         q = q.contract_edge(intra)
         # the merged vertex keeps min(u, v), which lies in the same district
-    for e in list(q.edge_ids):
-        if q.is_loop(e):
-            q = q.delete_edge(e)
+    q = q.delete_edge([e for e in q.edge_ids if q.is_loop(e)])
     if q.num_vertices != p.m:
         raise PartitionError("quotient does not have one vertex per district")
     return q
@@ -328,13 +331,15 @@ def spanning_tree_distribution(
 ) -> DistributionTable:
     """Enumerate partitions and weight each by its share of the total score.
 
-    beta satisfies Pr[P] = beta * score(P) / trees(G) exactly.
+    beta satisfies Pr[P] = beta * score(P) / trees(G) exactly. The claims in
+    :mod:`treescore.bounds` read their plans, scores, cuts and trees(G) from
+    here; enumerated plans are valid by construction and not re-validated.
     """
     entries = []
     total = 0
     scored = []
     for p in enumerate_partitions(g, m, max_vertices=max_vertices):
-        score = spanning_tree_score(g, p)
+        score = _score(g, p)
         cut = cut_edges(g, p).size
         scored.append((p, score, cut))
         total += score

@@ -50,7 +50,7 @@ from fractions import Fraction
 from ._linalg import log2_fraction
 from .bounds import GUARD, BoundReport, BoundsError, _require_bounded, merge_reports
 from .graphs import BoundednessCertificate, EmbeddedMultiGraph, bound_violations
-from .sampler import EdgePolicy, SampleTrace, _num, sample_deletion_run, sample_tree_resistance
+from .sampler import SampleTrace, _num, sample_deletion_run, sample_tree_resistance
 
 __all__ = [
     "PebbleError",
@@ -624,8 +624,6 @@ def verify_run_products(
     runs: int = 200,
     mode: str = "deletion",
     seed: int = 0,
-    policy: EdgePolicy | None = None,
-    with_pebbles: bool = True,
 ) -> BoundReport:
     """Sample seeded runs on a degree-bounded graph and check all bounds.
 
@@ -633,9 +631,8 @@ def verify_run_products(
     (uniform random non-bridge edge deleted each step until only a spanning
     tree remains) and checks the deletions-only constants; ``"mixed"`` draws
     full sampler runs and checks the mixed constants. Run ``i`` uses seed
-    ``seed + i``, so reports are reproducible. When ``with_pebbles`` is set
-    the pile tracker runs on every trace and any of its violations are folded
-    into the report.
+    ``seed + i``, so reports are reproducible. The pile tracker runs on every
+    trace and any of its violations are folded into the report.
 
     The graph must be ``(k1, k2)``-degree-bounded; its certificate supplies
     the exemptions for the pile tracker. Raises
@@ -655,7 +652,7 @@ def verify_run_products(
             trace = sample_deletion_run(g, seed=seed + i)
             rep = check_prefix_products(trace, k1, k2, run_type="deletion")
         else:
-            trace = sample_tree_resistance(g, seed=seed + i, policy=policy)
+            trace = sample_tree_resistance(g, seed=seed + i)
             rep = check_prefix_products(trace, k1, k2, run_type="mixed")
         if pointwise_outside(trace, rep.c1, rep.c2):
             outside_runs += 1
@@ -663,11 +660,8 @@ def verify_run_products(
         # Per-run notes vary by seed (step counts, pointwise detail) and would
         # bloat the merged list; the aggregate notes below cover them.
         rep = dataclasses.replace(rep, notes=())
-        if with_pebbles:
-            history = track_pebbles(trace, g, cert.v0, cert.f0, k1, k2)
-            if not history.holds:
-                for v in history.violations:
-                    pebble_failures.append({"run": i, **v})
+        history = track_pebbles(trace, g, cert.v0, cert.f0, k1, k2)
+        pebble_failures.extend({"run": i, **v} for v in history.violations)
         reports.append(rep)
     merged = merge_reports(*reports)
     label = "deletions-only" if mode == "deletion" else "mixed"
@@ -678,15 +672,10 @@ def verify_run_products(
         f"probability is outside [c1, c2] pointwise, {forced_steps} forced "
         "steps in total"
     )
-    if with_pebbles:
-        notes.append(
-            "pile tracker ran on every trace: "
-            + (
-                "no violations"
-                if not pebble_failures
-                else f"{len(pebble_failures)} violations"
-            )
-        )
+    notes.append(
+        "pile tracker ran on every trace: "
+        + (f"{len(pebble_failures)} violations" if pebble_failures else "no violations")
+    )
     return dataclasses.replace(
         merged,
         violations=merged.violations + tuple(pebble_failures),

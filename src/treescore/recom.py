@@ -33,7 +33,7 @@ from .partition import (
     check_tolerant_partition,
     cut_edges,
 )
-from .sampler import sample_tree_resistance, sample_tree_wilson
+from .sampler import _walk_incidence, _wilson_walk, sample_tree_resistance
 
 __all__ = [
     "RecomError",
@@ -300,9 +300,11 @@ def _step(
     merged = blocks[da] | blocks[db]
     sub = induced_subgraph(g, merged)
     n, m = g.num_vertices, p.m
+    if cfg.tree_sampler == "wilson":
+        incident = _walk_incidence(sub)  # built once, reused by every resample
     for attempt in range(1, cfg.max_resample + 1):
         if cfg.tree_sampler == "wilson":
-            tree = sample_tree_wilson(sub, rng=rng)
+            tree = _wilson_walk(incident, rng)
         else:
             tree = sample_tree_resistance(sub, rng=rng).tree
         candidates = balance_edges(sub, tree, n, m, cfg.balance_tolerance)

@@ -401,11 +401,7 @@ def run_constrained_deletions(
     trace = replay_decisions(
         g, decisions, policy=EdgePolicy.given_order(order), stop_when_decided=True
     )
-    prob = trace.p_product()
-    remaining = g
-    for e in order:
-        remaining = remaining.delete_edge(e)
-    return prob, remaining
+    return trace.p_product(), g.delete_edge(order)
 
 
 def sample_deletion_run(
@@ -467,6 +463,14 @@ def sample_tree_wilson(
     """
     if rng is None:
         rng = Random(seed)
+    return _wilson_walk(_walk_incidence(g), rng)
+
+
+def _walk_incidence(g: EmbeddedMultiGraph) -> dict[int, list[tuple[int, int]]]:
+    """Walk choices ``(edge, other end)`` per vertex in ``edges_dict()`` order, loops skipped.
+
+    Raises :class:`DisconnectedGraphError` unless ``g`` is connected.
+    """
     if not g.is_connected():
         raise DisconnectedGraphError("graph is not connected")
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
@@ -475,7 +479,12 @@ def sample_tree_wilson(
             continue
         incident[u].append((e, v))
         incident[v].append((e, u))
-    verts = g.vertices
+    return incident
+
+
+def _wilson_walk(incident: dict[int, list[tuple[int, int]]], rng: Random) -> frozenset[int]:
+    """The loop-erased walks of :func:`sample_tree_wilson` over a built incidence."""
+    verts = list(incident)
     root = verts[0]
     in_tree = {root}
     next_edge: dict[int, int] = {}

@@ -86,6 +86,6 @@ def run_reports():
     out = {}
     for (name, mode), (runs, seed) in RUN_CORPUS_SPEC.items():
         out[(name, mode)] = verify_run_products(
-            grids[name], 4, 4, runs=runs, mode=mode, seed=seed, with_pebbles=True
+            grids[name], 4, 4, runs=runs, mode=mode, seed=seed
         )
     return out

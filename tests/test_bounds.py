@@ -6,6 +6,7 @@ threshold arithmetic, and report plumbing.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,17 @@ import pytest
 from treescore import (
     BoundReport,
     BoundsError,
+    DistEntry,
+    DistributionTable,
     LambdaParams,
     Partition,
     PartitionError,
     chain_slacks,
+    check_bounded,
     count_spanning_trees,
     cut_edges,
     derivation_chain,
+    enumerate_partitions,
     make_grid,
     merge_reports,
     partition_deletion_set,
@@ -31,7 +36,12 @@ from treescore import (
     verify_score_ratio,
     verify_score_ratios,
 )
-from treescore.fixtures import make_twelve_county, twelve_county_compact_partition
+from treescore.bounds import gap_alpha_log2
+from treescore.fixtures import (
+    make_twelve_county,
+    planar_fixture_suite,
+    twelve_county_compact_partition,
+)
 
 
 def test_threshold_reference_values():
@@ -244,6 +254,7 @@ def test_derivation_chain_rejects_trivial_cut():
 
 def test_score_ratios_certify_and_count_the_graph_once(monkeypatch):
     import treescore.bounds as bounds
+    import treescore.partition as partition
 
     g = make_grid(4, 4)
     certified, counted = [], []
@@ -258,7 +269,9 @@ def test_score_ratios_certify_and_count_the_graph_once(monkeypatch):
         return real_count(h, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "check_bounded", check)
+    # trees(G) may be counted by the bounds module or by the table it reads
     monkeypatch.setattr(bounds, "count_spanning_trees", count)
+    monkeypatch.setattr(partition, "count_spanning_trees", count)
     report = verify_score_ratios(g, 2, 4, 4)
     assert report.holds and report.instances_checked == 70
     assert certified == [g]
@@ -266,3 +279,67 @@ def test_score_ratios_certify_and_count_the_graph_once(monkeypatch):
     certified.clear()
     verify_score_ratios(g, 4, 4, 4)
     assert certified == [g]
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [("grid4x4", make_grid(4, 4))] + planar_fixture_suite(count=30, max_vertices=12),
+)
+def test_score_ratios_table_path_matches_public_path(name, g):
+    """eq4 over the distribution table equals the validated one-plan check, merged."""
+    if not check_bounded(g, 4, 4).holds:
+        with pytest.raises(BoundsError):
+            verify_score_ratios(g, 1, 4, 4)
+        return
+    n = g.num_vertices
+    for m in [d for d in range(1, 5) if n % d == 0]:
+        plans = list(enumerate_partitions(g, m))
+        if not plans:
+            with pytest.raises(PartitionError):
+                verify_score_ratios(g, m, 4, 4)
+            continue
+        public = merge_reports(*(verify_score_ratio(g, p, 4, 4) for p in plans))
+        expected = replace(public, notes=(f"enumerated {len(plans)} partitions with m={m}",))
+        assert verify_score_ratios(g, m, 4, 4).to_json() == expected.to_json()
+
+
+def _failing_table(g):
+    """Six cut-2 plans scoring 1..6 and six cut-40 plans scoring 7..12.
+
+    Every (cut 2, cut 40) pair meets the premises of theorem31 and of the
+    corollary at (k1, k2) = (4, 4) and fails their conclusions.
+    """
+    plans = list(enumerate_partitions(g, 2))[:12]
+    entries = tuple(
+        DistEntry(p, score=i + 1, cut_size=2 if i < 6 else 40, probability=Fraction(i + 1, 78))
+        for i, p in enumerate(plans)
+    )
+    trees = int(count_spanning_trees(g))
+    return DistributionTable(2, entries, total_score=78, graph_trees=trees, beta=Fraction(trees, 78))
+
+
+def test_block_sweep_lists_failing_pairs_up_to_the_cap(monkeypatch):
+    import treescore.bounds as bounds
+
+    g = make_grid(4, 4)
+    table = _failing_table(g)
+    monkeypatch.setattr(bounds, "spanning_tree_distribution", lambda *a, **k: table)
+    low, high = table.entries[:6], table.entries[6:]
+    failing = [(e1.digest, e2.digest) for e1 in low for e2 in high]
+
+    gap = verify_exponential_gap(g, 2, 4, 4)
+    assert gap.applicable == 36 and gap.instances_checked == 144
+    assert [(v["p1"], v["p2"]) for v in gap.violations] == failing[:20]
+    assert {v["kind"] for v in gap.violations} == {"gap"}
+    assert gap.margins["conclusion-slack-log2"] == pytest.approx(
+        math.log2(1 / 12) - gap_alpha_log2(2, 40, 4, 4)
+    )
+
+    dom = verify_pair_dominance(g, 2, 4, 4)
+    assert dom.applicable == 36
+    listed = [v for v in dom.violations if v["kind"] == "dominance"]
+    assert [(v["p1"], v["p2"]) for v in listed] == failing[:20]
+    # the block's chain violations follow its pair violations, uncapped
+    assert dom.violations[:20] == tuple(listed)
+    assert {v["kind"] for v in dom.violations[20:]} == {"chain"}
+    assert dom.margins["conclusion-slack-log2"] == pytest.approx(math.log2(1 / 12))

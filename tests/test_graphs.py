@@ -228,3 +228,24 @@ def test_induced_subgraph_keeps_edge_ids():
     assert set(sub.edge_ids) <= set(g.edge_ids)
     for e in sub.edge_ids:
         assert sub.endpoints(e) == g.endpoints(e)
+
+
+@pytest.mark.parametrize("name,g", SUITE)
+def test_delete_edge_set_equals_successive_deletions(name, g):
+    """Deleting a set in one pass gives the graph of one-at-a-time deletions."""
+    rotation = {v: g.rotation(v) for v in g.vertices}
+    g = EmbeddedMultiGraph(g.edges_dict(), rotation, {v: f"unit {v}" for v in g.vertices})
+    dual = g.trace_faces()
+    bridges = dual.bridges()
+    doomed = [e for e in g.edge_ids if e not in bridges][::2]
+    one_by_one = g
+    for e in doomed:
+        one_by_one = one_by_one.delete_edge(e)
+    at_once = g.delete_edge(doomed)
+    assert same_embedding(at_once, one_by_one)
+    assert list(at_once.edges_dict().items()) == list(one_by_one.edges_dict().items())
+    assert all(at_once.rotation(v) == one_by_one.rotation(v) for v in g.vertices)
+    assert at_once.labels == one_by_one.labels
+    assert same_embedding(g.delete_edge([]), g)
+    with pytest.raises(InvalidGraphError):
+        g.delete_edge(doomed + [max(g.edge_ids) + 1])

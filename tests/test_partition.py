@@ -30,6 +30,7 @@ from treescore import (
     spanning_tree_distribution,
     spanning_tree_score,
     validate_partition,
+    verify_score_ratios,
 )
 from treescore.fixtures import (
     make_twelve_county,
@@ -275,3 +276,35 @@ def test_tolerant_check_matches_subgraph_oracle(seed, size, m, tolerance, data):
         assignment[max(verts) + k] = k % m
     p = Partition.from_dict(m, assignment)
     assert check_tolerant_partition(g, p, tolerance) == subgraph_oracle_problems(g, p, tolerance)
+
+
+@given(seed=st.integers(0, 10**6), size=st.integers(2, 10), data=st.data())
+@settings(max_examples=150)
+def test_enumerated_plans_are_valid(seed, size, data):
+    """The guarantee the table relies on to score plans without re-validating."""
+    g = random_planar_multigraph(seed, max_vertices=size)
+    n = g.num_vertices
+    m = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    for p in enumerate_partitions(g, m):
+        check = validate_partition(g, p)
+        assert check.valid, check.problems
+
+
+def test_table_scoring_does_not_revalidate(monkeypatch):
+    import treescore.partition as partition
+
+    calls = []
+    real = partition.check_tolerant_partition
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partition, "check_tolerant_partition", counting)
+    g = make_grid(4, 4)
+    table = spanning_tree_distribution(g, 4)
+    assert verify_score_ratios(g, 4, 4, 4).instances_checked == len(table.entries)
+    assert calls == []
+    # the public entry points still check the plans callers hand them
+    spanning_tree_score(g, table.entries[0].partition)
+    assert len(calls) == 1

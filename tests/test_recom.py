@@ -252,3 +252,32 @@ def test_run_chain_names_the_step_that_cuts_an_unbalanced_side(monkeypatch, grid
     with pytest.raises(RecomError, match="step 3 produced an invalid partition"):
         run_chain(grid44, p, ChainConfig(steps=10, seed=1))
     assert len(steps) == 3
+
+
+def test_wilson_steps_check_the_merged_region_once(monkeypatch):
+    from treescore.graphs import EmbeddedMultiGraph
+
+    checked = []
+    real = EmbeddedMultiGraph.is_connected
+
+    def counting(self):
+        checked.append(self.num_vertices)
+        return real(self)
+
+    g = make_grid(6, 6)
+    p = Partition.from_dict(3, {v: v // 12 for v in g.vertices})
+    cfg = ChainConfig(steps=30, seed=2, max_resample=16)
+    steps = []
+    real_step = recom._step
+
+    def step(*args):
+        steps.append(real_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(recom, "_step", step)
+    monkeypatch.setattr(EmbeddedMultiGraph, "is_connected", counting)
+    run_chain(g, p, cfg)
+    # every step drew at least one tree and some drew several, yet the region
+    # was checked once per step, not once per draw
+    assert sum(s.resamples for s in steps) > len(steps) == cfg.steps
+    assert checked == [24] * cfg.steps

@@ -33,6 +33,7 @@ from treescore import (
     trace_to_jsonl,
 )
 from treescore.fixtures import make_cycle, make_diamond, make_theta
+from treescore.sampler import _walk_incidence, _wilson_walk
 
 
 def explore_all_paths(g, choose_edge):
@@ -231,6 +232,19 @@ def test_wilson_rejects_disconnected():
     )
     with pytest.raises(DisconnectedGraphError):
         sample_tree_wilson(g, seed=0)
+    with pytest.raises(DisconnectedGraphError):
+        _walk_incidence(g)
+
+
+@pytest.mark.parametrize("name,g", [("diamond", make_diamond()), ("theta4", make_theta(4)),
+                                    ("grid5x4", make_grid(5, 4))])
+def test_wilson_walk_reuses_its_incidence(name, g):
+    """One incidence drawn from repeatedly gives the trees of repeated public calls."""
+    a, b = Random(11), Random(11)
+    fresh = [sample_tree_wilson(g, rng=a) for _ in range(30)]
+    incident = _walk_incidence(g)
+    assert [_wilson_walk(incident, b) for _ in range(30)] == fresh
+    assert a.random() == b.random()
 
 
 def test_cached_sampler_matches_direct_support():
