@@ -135,11 +135,11 @@ class EmbeddedMultiGraph:
         The graph is copied once however many edges go; the result equals
         deleting them one at a time, and may be disconnected.
         """
-        gone = [e] if isinstance(e, int) else list(e)
-        for f in gone:
+        ids = [e] if isinstance(e, int) else list(e)
+        for f in ids:
             if f not in self._edges:
                 raise InvalidGraphError(f"no edge {f}")
-        gone = set(gone)
+        gone = set(ids)
         edges = {f: uv for f, uv in self._edges.items() if f not in gone}
         rotation = {w: [d for d in r if d[0] not in gone] for w, r in self._rotation.items()}
         return EmbeddedMultiGraph(edges, rotation, self.labels, validate=False)
