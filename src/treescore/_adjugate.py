@@ -19,10 +19,12 @@ non-loop edge. Each update costs O(n^2) word operations per prime.
 Exactness: ``s <= tau <= H = prod_{v != ground} deg(v)`` (Hadamard's bound on
 the grounded Laplacian), so ``s`` is recovered by CRT over primes whose
 product exceeds ``2 H``. One spare prime is carried along and every recovered
-``s`` is checked against it. ``tau`` itself is a Python int; when a prime
-divides it the division has no inverse modulo that prime, and the engine is
-rebuilt from the current graph with the prime replaced. A wrong answer is
-never returned silently: a failed check raises :class:`ArithmeticError`.
+``s`` is checked against it; the primes, the bound and the checked CRT are
+``_modular``'s, shared with ``spectral``'s exact counts. ``tau`` itself is a
+Python int; when a prime divides it the division has no inverse modulo that
+prime, and the engine is rebuilt from the current graph with the prime
+replaced. A wrong answer is never returned silently: a failed check raises
+:class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -31,57 +33,7 @@ from collections import deque
 
 import numpy as np
 
-_WORD_PRIME_LIMIT = 1 << 31
-_word_primes: list[int] = []  # largest primes below 2**31, descending; grown on demand
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3,215,031,751."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def word_primes(k: int) -> list[int]:
-    """The k largest primes below 2**31, in descending order."""
-    candidate = _word_primes[-1] - 2 if _word_primes else _WORD_PRIME_LIMIT - 1
-    while len(_word_primes) < k:
-        if _is_prime(candidate):
-            _word_primes.append(candidate)
-        candidate -= 2
-    return _word_primes[:k]
-
-
-def hadamard_bound(vertices, endpoints) -> int:
-    """Product of the non-loop degrees of all vertices but the least: a bound on tau."""
-    ground = min(vertices)
-    deg = dict.fromkeys(vertices, 0)
-    for u, v in endpoints:
-        if u != v:
-            deg[u] += 1
-            deg[v] += 1
-    bound = 1
-    for v, d in deg.items():
-        if v != ground:
-            bound *= d
-    return bound
+from ._modular import CRT, choose_primes, hadamard_bound
 
 
 class TreeCountEngine:
@@ -96,7 +48,7 @@ class TreeCountEngine:
 
     __slots__ = (
         "tau", "primes", "_vertices", "_edges", "_pool", "_excluded",
-        "_mods", "_p", "_crt", "_modulus", "_index", "_order", "_a", "_outer", "_cached",
+        "_mods", "_p", "_crt", "_index", "_order", "_a", "_outer", "_cached",
     )
 
     def __init__(self, vertices: set[int], edges: dict[int, tuple[int, int]], primes=None):
@@ -108,32 +60,10 @@ class TreeCountEngine:
 
     # --- construction ---------------------------------------------------------
 
-    def _candidates(self):
-        if self._pool is not None:
-            yield from self._pool
-            return
-        k = 0
-        while True:
-            k += 8
-            yield from word_primes(k)[k - 8:]
-
-    def _choose_primes(self) -> list[int]:
-        """Primes whose product exceeds twice the Hadamard bound, plus one spare."""
-        target = 2 * hadamard_bound(self._vertices, self._edges.values())
-        chosen: list[int] = []
-        product = 1
-        for p in self._candidates():
-            if p in self._excluded:
-                continue
-            chosen.append(p)
-            if product > target:
-                return chosen
-            product *= p
-        raise ArithmeticError("prime pool exhausted")
-
     def _build(self) -> None:
         while True:
-            primes = self._choose_primes()
+            bound = hadamard_bound(self._vertices, self._edges.values())
+            primes = choose_primes(bound, self._pool, self._excluded)
             try:
                 self._build_with(primes)
                 return
@@ -144,11 +74,7 @@ class TreeCountEngine:
         self.primes = tuple(primes[:-1])
         self._mods = primes
         self._p = np.array(primes, dtype=np.int64)
-        modulus = 1
-        for p in self.primes:
-            modulus *= p
-        self._modulus = modulus
-        self._crt = [(modulus // p) * pow(modulus // p, -1, p) for p in self.primes]
+        self._crt = CRT(primes)
         order = sorted(self._vertices)
         ground = order[0]
         self._order = order[1:]
@@ -215,12 +141,8 @@ class TreeCountEngine:
             res = w[:, iu]
         else:
             res = (w[:, iu] - w[:, iv]) % self._p
-        res = res.tolist()
-        s = sum(r * c for r, c in zip(res, self._crt)) % self._modulus
         # A true s is at most tau <= H < modulus / 2, and agrees with the spare.
-        if s % self._mods[-1] != res[-1] or s > self._modulus // 2:
-            raise ArithmeticError(f"tree count residues disagree for edge ({u}, {v})")
-        return w, s
+        return w, self._crt.recover(res.tolist())
 
     def _edge(self, u: int, v: int) -> tuple[np.ndarray, int]:
         key = (u, v) if u < v else (v, u)

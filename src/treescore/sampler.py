@@ -205,7 +205,7 @@ class _RunState:
     first use and updated by every later contraction and deletion.
     """
 
-    __slots__ = ("edges", "vertices", "exact", "_engine", "_primes")
+    __slots__ = ("edges", "vertices", "exact", "_incident", "_engine", "_primes")
 
     def __init__(self, g: EmbeddedMultiGraph, exact: bool, primes=None):
         if not g.is_connected():
@@ -213,6 +213,7 @@ class _RunState:
         self.edges: dict[int, tuple[int, int]] = g.edges_dict()
         self.vertices: set[int] = set(g.vertices)
         self.exact = exact
+        self._incident: dict[int, set[int]] | None = None
         self._engine: TreeCountEngine | None = None
         self._primes = primes
 
@@ -220,6 +221,19 @@ class _RunState:
         if self._engine is None:
             self._engine = TreeCountEngine(self.vertices, self.edges, self._primes)
         return self._engine
+
+    def _incidence(self) -> dict[int, set[int]]:
+        """Edge ids at each vertex, so a contraction renames O(degree) edges.
+
+        Built on the first contraction (deletion-only runs never need it)
+        and kept up to date by every later edit.
+        """
+        if self._incident is None:
+            self._incident = {v: set() for v in self.vertices}
+            for e, (u, v) in self.edges.items():
+                self._incident[u].add(e)
+                self._incident[v].add(e)
+        return self._incident
 
     @property
     def trees(self) -> int | None:
@@ -261,12 +275,14 @@ class _RunState:
             raise SamplerError("cannot contract a self-loop")
         if self._engine is not None:
             self._engine.contract(u, v)
+        incident = self._incidence()
         del self.edges[e]
-        for f, (x, y) in list(self.edges.items()):
-            nx = keep if x == gone else x
-            ny = keep if y == gone else y
-            if nx != x or ny != y:
-                self.edges[f] = (nx, ny)
+        incident[keep].discard(e)
+        for f in incident.pop(gone):
+            if f != e:
+                x, y = self.edges[f]
+                self.edges[f] = (keep if x == gone else x, keep if y == gone else y)
+                incident[keep].add(f)
         self.vertices.discard(gone)
 
     def delete(self, e: int) -> None:
@@ -274,6 +290,9 @@ class _RunState:
         if self._engine is not None and u != v:
             self._engine.delete(u, v)
         del self.edges[e]
+        if self._incident is not None:
+            self._incident[u].discard(e)
+            self._incident[v].discard(e)
 
 
 def _run(

@@ -1,14 +1,23 @@
 """Spanning-tree counts, electrical flows, and effective resistances.
 
-Counts come from the reduced Laplacian determinant, evaluated with exact
-integer arithmetic up to a size threshold. The effective resistance of an
-edge equals the probability that a uniformly random spanning tree contains
-it, which is also the ratio of two such determinants.
+A tree count is the determinant of the Laplacian with one vertex's row and
+column removed, computed exactly up to ``EXACT_COUNT_THRESHOLD`` vertices
+(above it, a float ``slogdet`` gives only log2). The effective resistance of
+an edge is the probability that a uniform spanning tree contains it: the
+ratio of the minor without both endpoints to the minor without one.
 
-Every matrix here is built by ``_linalg.reduced_laplacian``, which fixes the
-rules once: the grounded vertex is left out of the kept list, self-loops are
-skipped and parallel edges add up. The integer, ``Fraction`` and float
-variants differ only in the zero matrix they are given.
+Every exact minor goes through one size choice. Below ``MODULAR_MINOR_ROWS``
+rows it is ``_linalg.laplacian_minor_det`` (fraction-free Bareiss on Python
+ints), whose fixed cost is lowest. From there on it is
+``_modular.minor_det``: reverse Cuthill-McKee order, elimination on the band
+modulo word-size primes, CRT, and a spare-prime check, which turns an O(n^3)
+big-integer determinant into O(n b^2) word operations per prime for
+bandwidth b. Both give the same integer.
+
+Dense matrices here are built by ``_linalg.reduced_laplacian``, which fixes
+the rules once: the grounded vertex is left out of the kept list, self-loops
+are skipped and parallel edges add up. Its ``Fraction`` and float variants
+differ only in the zero matrix they are given.
 """
 
 from __future__ import annotations
@@ -20,10 +29,14 @@ from fractions import Fraction
 import numpy as np
 
 from ._linalg import laplacian_minor_det, log2_int, reduced_laplacian, solve_rational
+from ._modular import minor_det
 from .graphs import EmbeddedMultiGraph
 
 EXACT_COUNT_THRESHOLD = 2048
 EXACT_FLOW_THRESHOLD = 64
+# Minors of at least this many rows go to banded modular elimination; below
+# it Bareiss is faster, because the modular path's fixed cost dominates.
+MODULAR_MINOR_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,13 @@ def _endpoint_iter(g: EmbeddedMultiGraph):
     return g.edges_dict().values()
 
 
+def _minor(vertices: list[int], endpoints, excluded: set[int]) -> int:
+    """``laplacian_minor_det``'s value, by the method that is faster at this size."""
+    if len(vertices) - len(excluded) >= MODULAR_MINOR_ROWS:
+        return minor_det(vertices, endpoints, excluded)
+    return laplacian_minor_det(vertices, endpoints, excluded)
+
+
 def count_spanning_trees(
     g: EmbeddedMultiGraph, exact_threshold: int = EXACT_COUNT_THRESHOLD
 ) -> TreeCount:
@@ -77,13 +97,19 @@ def count_spanning_trees(
     n = g.num_vertices
     if n == 0:
         raise ValueError("empty graph")
+    if n > 1 and not g.is_connected():
+        return TreeCount(0, True, None)
+    return _count(g, exact_threshold)
+
+
+def _count(g: EmbeddedMultiGraph, exact_threshold: int = EXACT_COUNT_THRESHOLD) -> TreeCount:
+    """The body of :func:`count_spanning_trees`, for a nonempty graph known to be connected."""
+    n = g.num_vertices
     if n == 1:
         return TreeCount(1, True, 0.0)
-    if not g.is_connected():
-        return TreeCount(0, True, None)
     verts = g.vertices
     if n <= exact_threshold:
-        value = laplacian_minor_det(verts, _endpoint_iter(g), {verts[-1]})
+        value = _minor(verts, _endpoint_iter(g), {verts[-1]})
         return TreeCount(value, True, log2_int(value))
     m = reduced_laplacian(verts[:-1], _endpoint_iter(g), np.zeros((n - 1, n - 1)))
     sign, logdet = np.linalg.slogdet(m)
@@ -133,10 +159,10 @@ def resistance_fraction(g: EmbeddedMultiGraph, e: int) -> Fraction:
     if u == v:
         return Fraction(0)
     verts = g.vertices
-    total = laplacian_minor_det(verts, _endpoint_iter(g), {u})
+    total = _minor(verts, _endpoint_iter(g), {u})
     if total == 0:
         raise DisconnectedGraphError("graph is not connected")
-    containing = laplacian_minor_det(verts, _endpoint_iter(g), {u, v})
+    containing = _minor(verts, _endpoint_iter(g), {u, v})
     return Fraction(containing, total)
 
 

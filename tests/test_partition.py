@@ -308,3 +308,25 @@ def test_table_scoring_does_not_revalidate(monkeypatch):
     # the public entry points still check the plans callers hand them
     spanning_tree_score(g, table.entries[0].partition)
     assert len(calls) == 1
+
+
+def test_table_scoring_skips_the_connectivity_check(monkeypatch):
+    from treescore.graphs import EmbeddedMultiGraph
+
+    checked = []
+    real = EmbeddedMultiGraph.is_connected
+
+    def counting(self):
+        checked.append(self.num_vertices)
+        return real(self)
+
+    monkeypatch.setattr(EmbeddedMultiGraph, "is_connected", counting)
+    g = make_grid(4, 5)
+    table = spanning_tree_distribution(g, 4)
+    assert len(table.entries) > 1
+    # only tau(G) is counted through the public, checking count_spanning_trees
+    assert checked == [g.num_vertices]
+    # the public count still checks the district it is handed
+    block = table.entries[0].partition.districts()[0]
+    count_spanning_trees(induced_subgraph(g, block))
+    assert checked == [g.num_vertices, len(block)]

@@ -284,3 +284,30 @@ def test_trace_jsonl_round_trip(grid33, tmp_path):
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     assert path.read_text() == text
+
+
+def test_contraction_renames_in_place_like_a_full_scan():
+    # The run state renames only the removed vertex's edges; the edge dict's
+    # order and values must equal a rename over every edge.
+    from treescore.fixtures import planar_fixture_suite
+    from treescore.sampler import _RunState
+
+    for name, g in planar_fixture_suite(30):
+        rng = Random(name)
+        state = _RunState(g, exact=False)
+        reference = dict(state.edges)
+        while len(state.vertices) >= 2 and state.edges:
+            e = rng.choice(sorted(state.edges))
+            u, v = state.edges[e]
+            if u == v or rng.random() < 0.3:
+                state.delete(e)
+                del reference[e]
+                continue
+            keep, gone = min(u, v), max(u, v)
+            state.contract(e)
+            del reference[e]
+            reference = {
+                f: (keep if x == gone else x, keep if y == gone else y)
+                for f, (x, y) in reference.items()
+            }
+            assert list(state.edges.items()) == list(reference.items()), name

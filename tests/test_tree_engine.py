@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treescore import make_grid, sample_tree_resistance
-from treescore._adjugate import TreeCountEngine, hadamard_bound, word_primes
+from treescore._adjugate import TreeCountEngine
 from treescore._linalg import laplacian_minor_det
+from treescore._modular import hadamard_bound, word_primes
 from treescore.fixtures import random_planar_multigraph
 from treescore.sampler import _RunState
 
