@@ -1,30 +1,37 @@
 """Exact spanning-tree counts kept under edge deletion and contraction.
 
 :class:`TreeCountEngine` holds ``tau``, the number of spanning trees of a
-multigraph, exactly, and the adjugate ``A = adj(L0) = tau * inv(L0)`` of its
-Laplacian grounded at the least vertex, as residues modulo word-size primes.
-For an edge ``(u, v)`` let ``b = e_u - e_v`` (ground coordinate dropped) and
-``w = A b``. Then ``s = b^T A b`` counts the spanning trees that contain the
-edge, and each edit is a rank-one update with an exact division by ``tau``:
+multigraph, as an exact Python int, and the inverse ``M = inv(L0)`` of its
+Laplacian grounded at the least vertex, as residues modulo word-size primes
+(``tau * M`` is the adjugate). For an edge ``(u, v)`` let ``b = e_u - e_v``
+(ground coordinate dropped) and ``w = M b``. Then ``s = tau * b^T M b``
+counts the spanning trees that contain the edge, and each edit is the
+Sherman-Morrison update ``M' = M + g w w^T`` with one scalar ``g`` per prime:
 
-- delete:   ``tau' = tau - s``, ``A' = (tau' A + w w^T) / tau``;
-- contract: ``tau' = s``,       ``A' = (s A - w w^T) / tau``, then drop the
-  row and column of ``max(u, v)`` (the ground vertex is never dropped);
-- add:      ``tau' = tau + s``, ``A' = ((tau + s) A - w w^T) / tau``.
+- add:      ``tau' = tau + s``, ``g = -tau / (tau + s)``;
+- delete:   ``tau' = tau - s``, ``g = +tau / (tau - s)``;
+- contract: ``tau' = s``,       ``g = -tau / s``, then drop the row and column
+  of ``max(u, v)`` (the ground vertex is never dropped).
 
-An engine is built from a BFS spanning tree, whose grounded adjugate is the
+An engine is built from a BFS spanning tree, whose grounded inverse is the
 depth of the least common ancestor (``tau = 1``), by adding every other
 non-loop edge. Each update costs O(n^2) word operations per prime.
+
+Lazy reduction: ``M`` is kept in ``uint64``. ``w`` is read from rows reduced
+modulo p on the way out, so each outer product ``w (g w)^T`` adds at most
+``(p - 1)^2`` to an entry. Below 2**31, ``(p - 1) + 4 (p - 1)^2 < 2**64``:
+four updates fit between two ``%`` passes over the whole matrix (the window
+is worked out from the largest prime in use).
 
 Exactness: ``s <= tau <= H = prod_{v != ground} deg(v)`` (Hadamard's bound on
 the grounded Laplacian), so ``s`` is recovered by CRT over primes whose
 product exceeds ``2 H``. One spare prime is carried along and every recovered
 ``s`` is checked against it; the primes, the bound and the checked CRT are
-``_modular``'s, shared with ``spectral``'s exact counts. ``tau`` itself is a
-Python int; when a prime divides it the division has no inverse modulo that
-prime, and the engine is rebuilt from the current graph with the prime
-replaced. A wrong answer is never returned silently: a failed check raises
-:class:`ArithmeticError`.
+``_modular``'s, shared with ``spectral``'s exact counts. An update divides by
+the new ``tau``, so a prime that divides it has no inverse: the engine is
+rebuilt from the current graph with that prime replaced, and the update is
+retried until no prime in use divides the new ``tau``. A wrong answer is
+never returned silently: a failed check raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from ._modular import CRT, choose_primes, hadamard_bound
 
 
 class TreeCountEngine:
-    """``tau`` and the grounded Laplacian adjugate of a connected multigraph.
+    """``tau`` and the grounded Laplacian inverse of a connected multigraph.
 
     ``vertices`` (a set) and ``edges`` (a dict of edge id to endpoint pair) are
     the caller's live containers. The engine reads them only to (re)build, so
@@ -47,8 +54,9 @@ class TreeCountEngine:
     """
 
     __slots__ = (
-        "tau", "primes", "_vertices", "_edges", "_pool", "_excluded",
-        "_mods", "_p", "_crt", "_index", "_order", "_a", "_outer", "_cached",
+        "tau", "primes", "_vertices", "_edges", "_pool", "_excluded", "_mods",
+        "_p", "_crt", "_index", "_order", "_m", "_outer", "_window", "_pending",
+        "_tau_res", "_cached",
     )
 
     def __init__(self, vertices: set[int], edges: dict[int, tuple[int, int]], primes=None):
@@ -57,6 +65,20 @@ class TreeCountEngine:
         self._pool = None if primes is None else list(primes)
         self._excluded: set[int] = set()
         self._build()
+
+    def copy(self, vertices: set[int], edges: dict[int, tuple[int, int]]) -> TreeCountEngine:
+        """An independent engine for ``vertices`` and ``edges``, which must hold this graph."""
+        other = object.__new__(TreeCountEngine)
+        for name in self.__slots__:
+            setattr(other, name, getattr(self, name))
+        other._vertices = vertices
+        other._edges = edges
+        other._excluded = set(self._excluded)
+        other._index = dict(self._index)
+        other._order = list(self._order)
+        other._m = self._m.copy()
+        other._outer = np.empty_like(self._outer)
+        return other
 
     # --- construction ---------------------------------------------------------
 
@@ -73,8 +95,11 @@ class TreeCountEngine:
     def _build_with(self, primes: list[int]) -> None:
         self.primes = tuple(primes[:-1])
         self._mods = primes
-        self._p = np.array(primes, dtype=np.int64)
+        self._p = np.array(primes, dtype=np.uint64)
         self._crt = CRT(primes)
+        top = max(primes) - 1
+        self._window = (2**64 - 1 - top) // (top * top)
+        self._pending = 0
         order = sorted(self._vertices)
         ground = order[0]
         self._order = order[1:]
@@ -108,41 +133,37 @@ class TreeCountEngine:
                 queue.append(y)
         if len(seen) != len(order):
             raise ValueError("graph is not connected")
-        self._a = (anc @ anc.T)[None, :, :] % self._p[:, None, None]
+        self._m = (anc @ anc.T).astype(np.uint64)[None, :, :] % self._p[:, None, None]
         # Scratch for w w^T: a fresh array of this size per update costs more
         # (page faults) than the arithmetic itself.
-        self._outer = np.empty_like(self._a)
+        self._outer = np.empty_like(self._m)
         self.tau = 1
+        self._tau_res = [1] * len(primes)
         for eid in sorted(self._edges):
             u, v = self._edges[eid]
             if u != v and eid not in tree_edges:
                 w, s = self._column(u, v)
                 self._update(w, self.tau + s, -1)
-        for p in primes:
-            if self.tau % p == 0:
-                raise _PrimeDividesTau(p)
 
     # --- queries and edits ----------------------------------------------------
 
     def _column(self, u: int, v: int) -> tuple[np.ndarray, int]:
-        """w = A b modulo each prime, and s = b^T A b recovered exactly."""
+        """w = M b modulo each prime, and s = tau b^T M b recovered exactly."""
         iu = self._index.get(u)
         iv = self._index.get(v)
-        a = self._a
-        if iu is None:
-            w = a[:, iv, :].copy()
-        elif iv is None:
-            w = a[:, iu, :].copy()
+        m = self._m
+        p = self._p
+        pc = p[:, None]
+        if iu is None or iv is None:  # one end is the ground: w = -M e_x, the sign cancels
+            x = iv if iu is None else iu
+            w = m[:, x, :] % pc
+            q = w[:, x]
         else:
-            w = (a[:, iu, :] - a[:, iv, :]) % self._p[:, None]
-        if iu is None:
-            res = w[:, iv]
-        elif iv is None:
-            res = w[:, iu]
-        else:
-            res = (w[:, iu] - w[:, iv]) % self._p
+            w = (m[:, iu, :] % pc + pc - m[:, iv, :] % pc) % pc
+            q = (w[:, iu] + p - w[:, iv]) % p
+        res = [r * t % mod for r, t, mod in zip(q.tolist(), self._tau_res, self._mods)]
         # A true s is at most tau <= H < modulus / 2, and agrees with the spare.
-        return w, self._crt.recover(res.tolist())
+        return w, self._crt.recover(res)
 
     def _edge(self, u: int, v: int) -> tuple[np.ndarray, int]:
         key = (u, v) if u < v else (v, u)
@@ -155,37 +176,46 @@ class TreeCountEngine:
         return self._edge(u, v)[1]
 
     def _update(self, w: np.ndarray, new_tau: int, sign: int) -> None:
-        """A <- (new_tau A + sign w w^T) / tau, one reduction per prime; tau <- new_tau."""
-        tau = self.tau
-        for p in self._mods:
-            if tau % p == 0:
+        """M <- M + g w w^T with g = sign tau / new_tau modulo each prime; tau <- new_tau.
+
+        Raises :class:`_PrimeDividesTau`, leaving the engine as it was, when
+        a prime in use divides ``new_tau``.
+        """
+        res = [new_tau % p for p in self._mods]
+        for p, r in zip(self._mods, res):
+            if r == 0:
                 raise _PrimeDividesTau(p)
-        inv = [pow(tau, -1, p) for p in self._mods]
-        c = np.array([new_tau * i % p for i, p in zip(inv, self._mods)], dtype=np.int64)
-        f = np.array([sign * i % p for i, p in zip(inv, self._mods)], dtype=np.int64)
-        wt = w * f[:, None] % self._p[:, None]
-        a = self._a
-        n = a.shape[1]
-        outer = np.multiply(w[:, :, None], wt[:, None, :], out=self._outer[:, :n, :n])
-        a *= c[:, None, None]
-        a += outer
-        a %= self._p[:, None, None]
+        g = [sign * t * pow(r, -1, p) % p for t, r, p in zip(self._tau_res, res, self._mods)]
+        pc = self._p[:, None]
+        gw = w * np.array(g, dtype=np.uint64)[:, None] % pc
+        m = self._m
+        n = m.shape[1]
+        m += np.multiply(w[:, :, None], gw[:, None, :], out=self._outer[:, :n, :n])
+        self._pending += 1
+        if self._pending == self._window:
+            m %= pc[:, :, None]
+            self._pending = 0
         self.tau = new_tau
+        self._tau_res = res
         self._cached = None
 
     def _edit(self, u: int, v: int, contract: bool) -> None:
-        w, s = self._edge(u, v)
-        new_tau, sign = (s, -1) if contract else (self.tau - s, 1)
-        try:
-            self._update(w, new_tau, sign)
-        except _PrimeDividesTau as err:
-            # The graph still matches tau here: rebuild with that prime replaced.
-            self._excluded.add(err.prime)
-            self._build()
-            self._update(self._edge(u, v)[0], new_tau, sign)
+        while True:
+            w, s = self._edge(u, v)
+            new_tau, sign = (s, -1) if contract else (self.tau - s, 1)
+            if new_tau == 0:
+                raise ValueError("cannot delete a bridge")
+            try:
+                self._update(w, new_tau, sign)
+                return
+            except _PrimeDividesTau as err:
+                # The graph still matches tau here: rebuild with that prime
+                # replaced; a replacement may divide new_tau too, so retry.
+                self._excluded.add(err.prime)
+                self._build()
 
     def delete(self, u: int, v: int) -> None:
-        """Delete one copy of the non-loop edge u-v; it must not be a bridge."""
+        """Delete one copy of the non-loop edge u-v; a bridge raises :class:`ValueError`."""
         self._edit(u, v, contract=False)
 
     def contract(self, u: int, v: int) -> None:
@@ -193,15 +223,15 @@ class TreeCountEngine:
         self._edit(u, v, contract=True)
         gone = self._index.pop(max(u, v))
         last = len(self._order) - 1
-        a = self._a
+        m = self._m
         if gone != last:
             moved = self._order[last]
             self._order[gone] = moved
             self._index[moved] = gone
-            a[:, gone, :] = a[:, last, :]
-            a[:, :, gone] = a[:, :, last]
+            m[:, gone, :] = m[:, last, :]
+            m[:, :, gone] = m[:, :, last]
         self._order.pop()
-        self._a = a[:, :last, :last]
+        self._m = m[:, :last, :last]
 
 
 class _PrimeDividesTau(ArithmeticError):

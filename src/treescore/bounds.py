@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from ._adjugate import TreeCountEngine
 from ._linalg import log2_fraction
 from .graphs import EmbeddedMultiGraph, check_bounded
 from .partition import (
@@ -32,7 +33,7 @@ from .partition import (
     spanning_tree_score,
     validate_partition,
 )
-from .sampler import run_constrained_deletions
+from .sampler import graph_engine, run_constrained_deletions
 from .spectral import TreeCount, count_spanning_trees
 
 CLAIMS = ("lemma32", "theorem31", "eq4", "corollary")
@@ -256,13 +257,22 @@ def verify_score_ratio(
     _require_bounded(g, k1, k2)
     c1, c2 = _constants(k1, k2)
     trees = count_spanning_trees(g)
-    return _score_ratio_report(g, p, spanning_tree_score(g, p), c1, c2, trees)
+    return _score_ratio_report(g, p, spanning_tree_score(g, p), c1, c2, trees, None)
 
 
 def _score_ratio_report(
-    g: EmbeddedMultiGraph, p: Partition, score: int, c1: Fraction, c2: Fraction, trees: TreeCount
+    g: EmbeddedMultiGraph,
+    p: Partition,
+    score: int,
+    c1: Fraction,
+    c2: Fraction,
+    trees: TreeCount,
+    engine: TreeCountEngine | None,
 ) -> BoundReport:
-    """The body of :func:`verify_score_ratio` for a valid ``p`` and a certified ``g``."""
+    """The body of :func:`verify_score_ratio` for a valid ``p`` and a certified ``g``.
+
+    ``engine`` is ``g``'s, from :func:`~treescore.sampler.graph_engine`, or None.
+    """
     cut = cut_edges(g, p)
     b = cut.size
     expo = b - p.m + 1
@@ -271,7 +281,7 @@ def _score_ratio_report(
     margins: dict = {}
 
     deletable, retained = _deletion_set(g, p, cut.edges)
-    prob, remaining = run_constrained_deletions(g, deletable)
+    prob, remaining = run_constrained_deletions(g, deletable, engine)
 
     if trees.exact:
         ratio = Fraction(score, int(trees))
@@ -349,14 +359,18 @@ def verify_score_ratios(
     """verify_score_ratio over every balanced connected m-partition.
 
     The graph is certified once, and the plans, their scores and trees(G)
-    come from :func:`~treescore.partition.spanning_tree_distribution`.
+    come from :func:`~treescore.partition.spanning_tree_distribution`. G's
+    tree-count engine is built once, and every plan's deletion run edits a
+    copy of it.
     """
     _require_bounded(g, k1, k2)
     table = spanning_tree_distribution(g, m, max_vertices=max_vertices)
     c1, c2 = _constants(k1, k2)
     trees = TreeCount(table.graph_trees)
+    engine = graph_engine(g)
     reports = [
-        _score_ratio_report(g, e.partition, e.score, c1, c2, trees) for e in table.entries
+        _score_ratio_report(g, e.partition, e.score, c1, c2, trees, engine)
+        for e in table.entries
     ]
     return replace(
         merge_reports(*reports), notes=(f"enumerated {len(reports)} partitions with m={m}",)

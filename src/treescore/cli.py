@@ -40,11 +40,7 @@ from .partition import load_partition, spanning_tree_distribution
 from .pebbles import verify_run_products
 from .recom import ChainConfig, run_chain
 from .sampler import _num, sample_tree_resistance, sample_tree_wilson, trace_to_jsonl
-from .spectral import (
-    count_spanning_trees,
-    effective_resistance,
-    enumerate_spanning_trees,
-)
+from .spectral import _count, effective_resistance, enumerate_spanning_trees
 
 DEFAULT_ENUM_CAP = 100_000
 COUNTEREXAMPLE_FAMILIES = ("3.3", "3.4")
@@ -95,8 +91,8 @@ def _cmd_make_grid(args) -> int:
 
 
 def _cmd_count_trees(args) -> int:
-    g = load_graph(args.graph)
-    tc = count_spanning_trees(g)
+    g = load_graph(args.graph)  # refuses an empty or disconnected graph
+    tc = _count(g)
     payload = {"spanning_trees": str(tc.value), "exact": tc.exact}
     if not tc.exact:
         payload["log2"] = tc.log2
@@ -151,7 +147,7 @@ def _cmd_sample_tree(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = load_graph(args.graph)
     cap = DEFAULT_ENUM_CAP if args.limit is None else args.limit
-    tc = count_spanning_trees(g)
+    tc = _count(g)
     if not tc.exact or tc.value > cap:
         raise UsageError(
             f"graph has {tc.value} spanning trees, above the enumeration cap {cap}"

@@ -11,13 +11,17 @@ of spanning trees consistent with its decisions.
 Exact mode (graphs up to ``EXACT_SAMPLER_THRESHOLD`` vertices) reports r as
 the ``Fraction`` s / tau, where tau counts the spanning trees of the current
 multigraph and s those containing the edge. Both come from one
-``TreeCountEngine`` per run (``_adjugate``): it keeps the adjugate of the
+``TreeCountEngine`` per run (``_adjugate``): it keeps the inverse M of the
 grounded Laplacian as residues modulo word-size primes and updates it by a
-rank-one step per deletion or contraction, O(n^2) word operations instead of
-a big-integer determinant per edge. s is recovered by CRT over enough primes
-to exceed twice Hadamard's bound on tau and checked against a spare prime;
-tau is tracked as an exact integer. Above the threshold r is a float from a
-dense solve of the Laplacian grounded at one endpoint, assembled by
+rank-one step ``M + g w w^T`` per deletion or contraction, with g = tau/(tau-s)
+or -tau/s per prime: O(n^2) word operations instead of a big-integer
+determinant per edge, and a ``%`` pass over M only once every four updates.
+s = tau b^T M b is recovered by CRT over enough primes to exceed twice
+Hadamard's bound on tau and checked against a spare prime; tau is tracked as
+an exact integer, and a prime that divides the new tau is replaced by a
+rebuild. Many exact runs on one graph can share its engine
+(:func:`graph_engine`); each edits a copy. Above the threshold r is a float
+from a dense solve of the Laplacian grounded at one endpoint, assembled by
 ``_linalg.reduced_laplacian``. Both modes go through one step,
 ``_RunState.resistance``, which also decides the forced moves: self-loops,
 r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0 or 1.
@@ -202,19 +206,26 @@ class _RunState:
     """Mutable multigraph view used inside a run (original edge ids kept).
 
     In exact mode the tree counts come from a ``TreeCountEngine`` built on
-    first use and updated by every later contraction and deletion.
+    first use, or copied from ``engine`` (one already built for ``g``), and
+    updated by every later contraction and deletion.
     """
 
     __slots__ = ("edges", "vertices", "exact", "_incident", "_engine", "_primes")
 
-    def __init__(self, g: EmbeddedMultiGraph, exact: bool, primes=None):
+    def __init__(
+        self,
+        g: EmbeddedMultiGraph,
+        exact: bool,
+        primes=None,
+        engine: TreeCountEngine | None = None,
+    ):
         if not g.is_connected():
             raise DisconnectedGraphError("graph is not connected")
         self.edges: dict[int, tuple[int, int]] = g.edges_dict()
         self.vertices: set[int] = set(g.vertices)
         self.exact = exact
         self._incident: dict[int, set[int]] | None = None
-        self._engine: TreeCountEngine | None = None
+        self._engine = None if engine is None else engine.copy(self.vertices, self.edges)
         self._primes = primes
 
     def _tree_counts(self) -> TreeCountEngine:
@@ -302,9 +313,10 @@ def _run(
     decisions: dict[int, str] | None,
     stop_when_decided: bool,
     exact_threshold: int,
+    engine: TreeCountEngine | None = None,
 ) -> SampleTrace:
     exact = g.num_vertices <= exact_threshold
-    state = _RunState(g, exact)
+    state = _RunState(g, exact, engine=engine if exact else None)
     initial = state.trees
     steps: list[TraceStep] = []
     tree: list[int] = []
@@ -386,28 +398,32 @@ def replay_decisions(
     policy: EdgePolicy | None = None,
     stop_when_decided: bool = False,
     exact_threshold: int = EXACT_SAMPLER_THRESHOLD,
+    engine: TreeCountEngine | None = None,
 ) -> SampleTrace:
     """Deterministically replay a run whose non-forced decisions are given.
 
     Forced moves (self-loops, bridges) resolve themselves; a decision that
     contradicts a forced move describes a probability-zero path and raises.
+    ``engine``, from :func:`graph_engine` on ``g``, saves an exact run its
+    own build: the run edits a copy of it.
     """
     for a in decisions.values():
         if a not in ("contracted", "deleted"):
             raise SamplerError(f"unknown action {a!r}")
     if policy is None:
         policy = EdgePolicy.lowest_id()
-    return _run(g, None, policy, dict(decisions), stop_when_decided, exact_threshold)
+    return _run(g, None, policy, dict(decisions), stop_when_decided, exact_threshold, engine)
 
 
 def run_constrained_deletions(
-    g: EmbeddedMultiGraph, delete_edges
+    g: EmbeddedMultiGraph, delete_edges, engine: TreeCountEngine | None = None
 ) -> tuple[Fraction, EmbeddedMultiGraph]:
     """Delete the given edges in order, multiplying out (1 - r) at each step.
 
     The product is the probability that a uniform spanning tree avoids the
     whole set. Raises if a deletion would disconnect the graph. Returns the
-    probability and the remaining embedded graph.
+    probability and the remaining embedded graph. ``engine`` is passed on to
+    :func:`replay_decisions`.
     """
     order = list(delete_edges)
     if len(set(order)) != len(order):
@@ -418,9 +434,16 @@ def run_constrained_deletions(
             raise SamplerError(f"no edge {e}")
     decisions = {e: "deleted" for e in order}
     trace = replay_decisions(
-        g, decisions, policy=EdgePolicy.given_order(order), stop_when_decided=True
+        g, decisions, policy=EdgePolicy.given_order(order), stop_when_decided=True, engine=engine
     )
     return trace.p_product(), g.delete_edge(order)
+
+
+def graph_engine(g: EmbeddedMultiGraph) -> TreeCountEngine | None:
+    """``g``'s tree-count engine, for many exact runs on ``g``; None where runs are not exact."""
+    if g.num_vertices > EXACT_SAMPLER_THRESHOLD:
+        return None
+    return TreeCountEngine(set(g.vertices), g.edges_dict())
 
 
 def sample_deletion_run(

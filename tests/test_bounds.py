@@ -281,6 +281,25 @@ def test_score_ratios_certify_and_count_the_graph_once(monkeypatch):
     assert certified == [g]
 
 
+def test_score_ratios_build_the_graph_engine_once(monkeypatch):
+    from treescore._adjugate import TreeCountEngine
+
+    g = make_grid(4, 4)
+    built = []
+    real_build = TreeCountEngine._build_with
+
+    def build(engine, primes):
+        built.append(frozenset(engine._vertices))
+        return real_build(engine, primes)
+
+    monkeypatch.setattr(TreeCountEngine, "_build_with", build)
+    for m, plans in [(2, 70), (4, 117)]:
+        built.clear()
+        report = verify_score_ratios(g, m, 4, 4)
+        assert report.holds and report.instances_checked == plans
+        assert built == [frozenset(g.vertices)]
+
+
 @pytest.mark.parametrize(
     "name,g",
     [("grid4x4", make_grid(4, 4))] + planar_fixture_suite(count=30, max_vertices=12),

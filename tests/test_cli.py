@@ -68,6 +68,40 @@ def test_count_trees(grid_file):
     assert data["exact"] is True
 
 
+def test_count_trees_checks_connectivity_once(grid_file, monkeypatch):
+    from treescore.graphs import EmbeddedMultiGraph
+
+    checks = []
+    real = EmbeddedMultiGraph.is_connected
+
+    def is_connected(g):
+        checks.append(g)
+        return real(g)
+
+    monkeypatch.setattr(EmbeddedMultiGraph, "is_connected", is_connected)
+    code, stdout, _ = run_cli("count-trees", "--graph", grid_file)
+    assert code == 0 and json.loads(stdout)["spanning_trees"] == "192"
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize(
+    "graph,code,stdout,stderr",
+    [
+        ({"vertices": [], "edges": [], "rotation": {}},
+         1, "", '{"error": "graph is not connected"}\n'),
+        ({"vertices": [5], "edges": [], "rotation": {"5": []}},
+         0, '{\n  "exact": true,\n  "spanning_trees": "1"\n}\n', ""),
+        ({"vertices": [0, 1], "edges": [], "rotation": {"0": [], "1": []}},
+         1, "", '{"error": "graph is not connected"}\n'),
+    ],
+    ids=["empty", "one-vertex", "disconnected"],
+)
+def test_count_trees_degenerate_graphs(tmp_path, graph, code, stdout, stderr):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    assert run_cli("count-trees", "--graph", str(path)) == (code, stdout, stderr)
+
+
 def test_resistance_exact_string(grid_file):
     code, stdout, _ = run_cli("resistance", "--graph", grid_file, "--edge", "0")
     assert code == 0

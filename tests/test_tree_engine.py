@@ -1,13 +1,18 @@
 """The sampler's exact tree-count engine against fraction-free determinants.
 
-``TreeCountEngine`` keeps tau(G) and the grounded Laplacian adjugate modulo
-word-size primes under deletions and contractions. Every count it reports
-must equal the Bareiss determinant of the same Laplacian minor, including
-after rebuilds forced by a prime that divides tau.
+``TreeCountEngine`` keeps tau(G) exactly and the inverse of the grounded
+Laplacian modulo word-size primes under deletions and contractions, each one
+an update ``M + g w w^T`` with a scalar g = -tau/(tau+s), +tau/(tau-s) or
+-tau/s per prime. ``M`` is reduced only once every few updates, so the lazy
+window must never let a ``uint64`` entry overflow. Every count the engine
+reports must equal the Bareiss determinant of the same Laplacian minor,
+including after rebuilds forced by a prime that divides the new tau, and
+after a retry whose replacement prime divides it too.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +79,57 @@ def test_prime_dividing_tau_forces_rebuild():
     assert engine.primes != before  # some later tau shared a factor with the set
 
 
+def test_rebuild_retries_while_a_replacement_prime_divides_the_new_tau(monkeypatch):
+    g = make_grid(5, 4)  # tau = 3**2 * 11 * 19 * 31 * 71
+    state = _RunState(g, exact=True, primes=SMALL_PRIMES)
+    engine = state._tree_counts()
+    u, v = state.edges[2]
+    s = state.trees_containing(u, v)
+    assert (state.trees, s) == (4140081, 3 * 17 * 61 * 883)  # s is the tau after contracting
+    before = engine._mods
+    assert 17 in before
+    builds = []
+    real = TreeCountEngine._build
+
+    def build(self):
+        real(self)
+        builds.append(self._mods)
+
+    monkeypatch.setattr(TreeCountEngine, "_build", build)
+    state.contract(2)
+    # 17 divides the new tau; its replacement 61 does too, so a second rebuild draws 67.
+    assert len(builds) == 2
+    assert 61 in builds[0] and 61 not in before and 67 in builds[1]
+    assert state.trees == s and all(s % p for p in engine._mods)
+    edit_and_check(state, [(False, 0), (True, 7), (False, 3), (True, 11), (False, 5)])
+
+
+def test_lazy_window_holds_its_largest_values_without_overflow():
+    g = make_grid(3, 3)
+    engine = TreeCountEngine(set(g.vertices), g.edges_dict())
+    primes = engine._mods
+    assert max(primes) == 2**31 - 1
+    # (p - 1) + 4 (p - 1)**2 < 2**64 <= (p - 1) + 5 (p - 1)**2 for the largest word prime
+    assert engine._window == 4
+    top = [p - 1 for p in primes]
+    engine._m[...] = np.array(top, dtype=np.uint64)[:, None, None]
+    engine._pending = 0
+    w = np.array(top, dtype=np.uint64)[:, None].repeat(engine._m.shape[1], axis=1)
+    for k in range(1, 2 * engine._window + 2):
+        engine._update(w, engine.tau, 1)  # g = tau / tau = 1 adds (p - 1)**2 to every entry
+        for i, p in enumerate(primes):
+            # exact Python ints: (p - 1) + k (p - 1)**2 modulo p
+            assert (engine._m[i] % np.uint64(p) == ((p - 1) + k * (p - 1) ** 2) % p).all()
+
+
+def test_deleting_a_bridge_raises():
+    # Every prime divides the new tau = 0, so no rebuild could succeed.
+    engine = TreeCountEngine({0, 1, 2}, {0: (0, 1), 1: (1, 2), 2: (1, 2)})
+    with pytest.raises(ValueError):
+        engine.delete(0, 1)
+    assert engine.tau == 2 and engine.trees_containing(1, 2) == 1
+
+
 def test_exhausted_prime_pool_raises():
     g = make_grid(3, 3)
     with pytest.raises(ArithmeticError):
@@ -85,7 +141,7 @@ def test_spare_prime_catches_a_corrupted_residue():
     engine = TreeCountEngine(set(g.vertices), g.edges_dict())
     assert engine.trees_containing(1, 2) == laplacian_minor_det(g.vertices, g.edges_dict().values(), {1, 2})
     spare = engine._mods[-1]
-    engine._a[-1, 0, 0] = (engine._a[-1, 0, 0] + 1) % spare  # vertex 1, spare prime only
+    engine._m[-1, 0, 0] = (engine._m[-1, 0, 0] + 1) % spare  # vertex 1, spare prime only
     with pytest.raises(ArithmeticError):
         engine.trees_containing(0, 1)
 
