@@ -26,6 +26,14 @@ from a dense solve of the Laplacian grounded at one endpoint, assembled by
 ``_RunState.resistance``, which also decides the forced moves: self-loops,
 r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0 or 1.
 
+Every run is one loop, ``_run``, told by two callables which edge comes next
+and what to do with it. A sampled tree selects by ``EdgePolicy`` and flips
+the coin; a replay reads recorded decisions and may stop once they are all
+used; a deletion run selects a random non-bridge and always deletes.
+``CachedTreeSampler`` caches the resistance at each coin-outcome prefix and
+makes one run per new prefix, which replays the cached coins and draws the
+rest; in exact mode its bridges are the forced r = 1 contractions.
+
 A Wilson loop-erased-walk sampler is included as an independent oracle.
 
 Randomness: one ``random.Random`` stream per run. A regular run consumes
@@ -38,7 +46,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
@@ -206,31 +215,25 @@ class _RunState:
     """Mutable multigraph view used inside a run (original edge ids kept).
 
     In exact mode the tree counts come from a ``TreeCountEngine`` built on
-    first use, or copied from ``engine`` (one already built for ``g``), and
-    updated by every later contraction and deletion.
+    first use, or copied from ``engine`` (one already built for ``g``, which
+    vouches that ``g`` is connected), and updated by every later contraction
+    and deletion.
     """
 
-    __slots__ = ("edges", "vertices", "exact", "_incident", "_engine", "_primes")
+    __slots__ = ("edges", "vertices", "exact", "_incident", "_engine")
 
-    def __init__(
-        self,
-        g: EmbeddedMultiGraph,
-        exact: bool,
-        primes=None,
-        engine: TreeCountEngine | None = None,
-    ):
-        if not g.is_connected():
+    def __init__(self, g: EmbeddedMultiGraph, exact: bool, engine: TreeCountEngine | None = None):
+        if engine is None and not g.is_connected():
             raise DisconnectedGraphError("graph is not connected")
         self.edges: dict[int, tuple[int, int]] = g.edges_dict()
         self.vertices: set[int] = set(g.vertices)
         self.exact = exact
         self._incident: dict[int, set[int]] | None = None
         self._engine = None if engine is None else engine.copy(self.vertices, self.edges)
-        self._primes = primes
 
     def _tree_counts(self) -> TreeCountEngine:
         if self._engine is None:
-            self._engine = TreeCountEngine(self.vertices, self.edges, self._primes)
+            self._engine = TreeCountEngine(self.vertices, self.edges)
         return self._engine
 
     def _incidence(self) -> dict[int, set[int]]:
@@ -308,41 +311,26 @@ class _RunState:
 
 def _run(
     g: EmbeddedMultiGraph,
-    rng: Random | None,
-    policy: EdgePolicy,
-    decisions: dict[int, str] | None,
-    stop_when_decided: bool,
-    exact_threshold: int,
+    select: Callable[[_RunState], int | None],
+    decide: Callable[[int, Fraction | float, str | None], str],
     engine: TreeCountEngine | None = None,
 ) -> SampleTrace:
-    exact = g.num_vertices <= exact_threshold
-    state = _RunState(g, exact, engine=engine if exact else None)
+    """Algorithm 1 on ``g``: the one loop that processes edges by resistance.
+
+    ``select(state)`` names the next surviving edge, or None to stop.
+    ``decide(e, r, forced)`` returns the action for edge e, "contracted" or
+    "deleted", from its resistance r and the action r forces (None if none).
+    The run is exact up to ``EXACT_SAMPLER_THRESHOLD`` vertices; an exact run
+    given ``engine`` (``g``'s, from :func:`graph_engine`) edits a copy of it.
+    """
+    exact = g.num_vertices <= EXACT_SAMPLER_THRESHOLD
+    state = _RunState(g, exact, engine if exact else None)
     initial = state.trees
     steps: list[TraceStep] = []
     tree: list[int] = []
-    pending = set(decisions) if decisions is not None else None
-    index = 0
-    while len(state.vertices) >= 2 and state.edges:
-        if stop_when_decided and pending is not None and not pending:
-            break
-        e = policy.select(state.edges)
-        index += 1
+    while (e := select(state)) is not None:
         r, forced = state.resistance(*state.edges[e])
-
-        if forced is not None:
-            action = forced
-        elif decisions is not None:
-            if e not in decisions:
-                raise SamplerError(f"no decision recorded for edge {e}")
-            action = decisions[e]
-        else:
-            x = rng.random()
-            action = "contracted" if Fraction(x) < r else "deleted"
-        if decisions is not None and e in decisions and decisions[e] != action:
-            raise SamplerError(
-                f"decision {decisions[e]!r} for edge {e} has probability zero (forced {action})"
-            )
-
+        action = decide(e, r, forced)
         if action == "contracted":
             p = r
             state.contract(e)
@@ -350,11 +338,9 @@ def _run(
         else:
             p = 1 - r
             state.delete(e)
-        if pending is not None:
-            pending.discard(e)
         steps.append(
             TraceStep(
-                index=index,
+                index=len(steps) + 1,
                 edge=e,
                 resistance=r,
                 probability=p,
@@ -362,14 +348,29 @@ def _run(
                 forced=forced is not None,
             )
         )
-    complete = len(state.vertices) < 2
     return SampleTrace(
         steps=tuple(steps),
         tree=frozenset(tree),
-        complete=complete,
+        complete=len(state.vertices) < 2,
         initial_trees=initial,
         exact=exact,
     )
+
+
+def _policy_select(policy: EdgePolicy) -> Callable[[_RunState], int | None]:
+    """``policy``'s next edge, until one vertex or no edge is left."""
+
+    def select(state: _RunState) -> int | None:
+        if len(state.vertices) < 2 or not state.edges:
+            return None
+        return policy.select(state.edges)
+
+    return select
+
+
+def _coin(rng: Random, r: Fraction | float) -> bool:
+    """Algorithm 1's coin: True (contract) with probability r, from one ``random()``."""
+    return Fraction(rng.random()) < r
 
 
 def sample_tree_resistance(
@@ -377,7 +378,6 @@ def sample_tree_resistance(
     seed: int | None = None,
     policy: EdgePolicy | None = None,
     rng: Random | None = None,
-    exact_threshold: int = EXACT_SAMPLER_THRESHOLD,
 ) -> SampleTrace:
     """Run the resistance-driven sampler to completion.
 
@@ -387,9 +387,11 @@ def sample_tree_resistance(
     """
     if rng is None:
         rng = Random(seed)
-    if policy is None:
-        policy = EdgePolicy.lowest_id()
-    return _run(g, rng, policy, None, False, exact_threshold)
+
+    def decide(e, r, forced):
+        return forced or ("contracted" if _coin(rng, r) else "deleted")
+
+    return _run(g, _policy_select(policy or EdgePolicy.lowest_id()), decide)
 
 
 def replay_decisions(
@@ -397,7 +399,6 @@ def replay_decisions(
     decisions: dict[int, str],
     policy: EdgePolicy | None = None,
     stop_when_decided: bool = False,
-    exact_threshold: int = EXACT_SAMPLER_THRESHOLD,
     engine: TreeCountEngine | None = None,
 ) -> SampleTrace:
     """Deterministically replay a run whose non-forced decisions are given.
@@ -410,9 +411,24 @@ def replay_decisions(
     for a in decisions.values():
         if a not in ("contracted", "deleted"):
             raise SamplerError(f"unknown action {a!r}")
-    if policy is None:
-        policy = EdgePolicy.lowest_id()
-    return _run(g, None, policy, dict(decisions), stop_when_decided, exact_threshold, engine)
+    pending = set(decisions)
+    by_policy = _policy_select(policy or EdgePolicy.lowest_id())
+
+    def select(state):
+        return None if stop_when_decided and not pending else by_policy(state)
+
+    def decide(e, r, forced):
+        action = decisions.get(e, forced)
+        if action is None:
+            raise SamplerError(f"no decision recorded for edge {e}")
+        if forced is not None and action != forced:
+            raise SamplerError(
+                f"decision {action!r} for edge {e} has probability zero (forced {forced})"
+            )
+        pending.discard(e)
+        return action
+
+    return _run(g, select, decide, engine)
 
 
 def run_constrained_deletions(
@@ -440,17 +456,20 @@ def run_constrained_deletions(
 
 
 def graph_engine(g: EmbeddedMultiGraph) -> TreeCountEngine | None:
-    """``g``'s tree-count engine, for many exact runs on ``g``; None where runs are not exact."""
+    """``g``'s tree-count engine, for many exact runs on ``g``; None where runs are not exact.
+
+    Raises :class:`DisconnectedGraphError` unless ``g`` is connected: runs
+    given the engine do not check again.
+    """
+    if not g.is_connected():
+        raise DisconnectedGraphError("graph is not connected")
     if g.num_vertices > EXACT_SAMPLER_THRESHOLD:
         return None
     return TreeCountEngine(set(g.vertices), g.edges_dict())
 
 
 def sample_deletion_run(
-    g: EmbeddedMultiGraph,
-    seed: int | None = None,
-    rng: Random | None = None,
-    exact_threshold: int = EXACT_SAMPLER_THRESHOLD,
+    g: EmbeddedMultiGraph, seed: int | None = None, rng: Random | None = None
 ) -> SampleTrace:
     """Random all-deletions computation path, run until a spanning tree remains.
 
@@ -461,37 +480,17 @@ def sample_deletion_run(
     """
     if rng is None:
         rng = Random(seed)
-    exact = g.num_vertices <= exact_threshold
-    state = _RunState(g, exact)
-    initial = state.trees
-    steps: list[TraceStep] = []
-    index = 0
-    while True:
+
+    def select(state):
         bridges = find_bridges(state.edges, state.vertices)
         candidates = sorted(e for e in state.edges if e not in bridges)
-        if not candidates:
-            break
-        e = candidates[rng.randrange(len(candidates))]
-        index += 1
-        r, forced = state.resistance(*state.edges[e])
-        state.delete(e)
-        steps.append(
-            TraceStep(
-                index=index,
-                edge=e,
-                resistance=r,
-                probability=1 - r,
-                action="deleted",
-                forced=forced is not None,
-            )
-        )
-    return SampleTrace(
-        steps=tuple(steps),
-        tree=frozenset(state.edges),
-        complete=False,
-        initial_trees=initial,
-        exact=exact,
-    )
+        return candidates[rng.randrange(len(candidates))] if candidates else None
+
+    trace = _run(g, select, lambda e, r, forced: "deleted")
+    surviving = g.edges_dict()
+    for e in trace.deleted():
+        del surviving[e]
+    return replace(trace, tree=frozenset(surviving), complete=False)
 
 
 def sample_tree_wilson(
@@ -550,62 +549,55 @@ def _wilson_walk(incident: dict[int, list[tuple[int, int]]], rng: Random) -> fro
 
 
 class CachedTreeSampler:
-    """Repeated runs of the resistance sampler with a shared decision cache.
+    """Repeated runs of the resistance sampler with a shared outcome cache.
 
     With a deterministic edge policy the state after any sequence of coin
-    outcomes is fixed, so each distinct outcome prefix needs its resistance
-    computed once. Complete runs correspond one-to-one with spanning trees,
-    which makes repeated sampling on small graphs cheap. Only the sampled
-    tree is returned (no trace).
+    outcomes is fixed, so the resistance at each distinct outcome prefix, and
+    the tree at the end of each complete one, is worked out once. Complete
+    runs correspond one-to-one with spanning trees, which makes repeated
+    sampling on small graphs cheap. :meth:`sample` walks the cached prefixes;
+    at the first unseen one it makes one run from the root, which replays the
+    prefix and caches every coin it draws past it. Only the sampled tree is
+    returned (no trace).
     """
 
     def __init__(self, g: EmbeddedMultiGraph, policy: EdgePolicy | None = None):
         if g.num_vertices > EXACT_SAMPLER_THRESHOLD:
             raise SamplerError("cached sampling is for small graphs")
         self._g = g
-        self._policy = policy or EdgePolicy.lowest_id()
-        self._nodes: dict[tuple[int, ...], tuple] = {}
-
-    def _expand(self, bits: tuple[int, ...]) -> tuple:
-        state = _RunState(self._g, exact=True)
-        pos = 0
-        tree: list[int] = []
-        while len(state.vertices) >= 2 and state.edges:
-            e = self._policy.select(state.edges)
-            u, v = state.edges[e]
-            if u == v:
-                state.delete(e)
-                continue
-            bridges = find_bridges(state.edges, state.vertices)
-            if e in bridges:
-                state.contract(e)
-                tree.append(e)
-                continue
-            if pos < len(bits):
-                if bits[pos]:
-                    state.contract(e)
-                    tree.append(e)
-                else:
-                    state.delete(e)
-                pos += 1
-                continue
-            node = ("coin", e, state.resistance(u, v)[0])
-            self._nodes[bits] = node
-            return node
-        node = ("end", frozenset(tree))
-        self._nodes[bits] = node
-        return node
+        self._select = _policy_select(policy or EdgePolicy.lowest_id())
+        self._engine: TreeCountEngine | None = None  # g's, built by the first run
+        # outcome prefix -> ("coin", r) or ("end", tree)
+        self._nodes: dict[tuple[bool, ...], tuple] = {}
 
     def sample(self, rng: Random) -> frozenset[int]:
-        bits: tuple[int, ...] = ()
-        while True:
-            node = self._nodes.get(bits)
-            if node is None:
-                node = self._expand(bits)
+        bits: tuple[bool, ...] = ()
+        while (node := self._nodes.get(bits)) is not None:
             if node[0] == "end":
                 return node[1]
-            _, _, r = node
-            bits = bits + (1 if Fraction(rng.random()) < r else 0,)
+            bits += (_coin(rng, node[1]),)
+        return self._run_past(bits, rng)
+
+    def _run_past(self, bits: tuple[bool, ...], rng: Random) -> frozenset[int]:
+        """One run from the root that replays ``bits``, then draws and caches the coins after it."""
+        if self._engine is None:
+            self._engine = graph_engine(self._g)
+        path = list(bits)
+        coins = 0
+
+        def decide(e, r, forced):
+            nonlocal coins
+            if forced is not None:
+                return forced
+            if coins == len(path):
+                self._nodes[tuple(path)] = ("coin", r)
+                path.append(_coin(rng, r))
+            coins += 1
+            return "contracted" if path[coins - 1] else "deleted"
+
+        tree = _run(self._g, self._select, decide, self._engine).tree
+        self._nodes[tuple(path)] = ("end", tree)
+        return tree
 
 
 def sample_trees_counter(

@@ -90,25 +90,23 @@ def _minor(vertices: list[int], endpoints, excluded: set[int]) -> int:
     return laplacian_minor_det(vertices, endpoints, excluded)
 
 
-def count_spanning_trees(
-    g: EmbeddedMultiGraph, exact_threshold: int = EXACT_COUNT_THRESHOLD
-) -> TreeCount:
+def count_spanning_trees(g: EmbeddedMultiGraph) -> TreeCount:
     """Number of spanning trees (1 for a single vertex, 0 when disconnected)."""
     n = g.num_vertices
     if n == 0:
         raise ValueError("empty graph")
     if n > 1 and not g.is_connected():
         return TreeCount(0, True, None)
-    return _count(g, exact_threshold)
+    return _count(g)
 
 
-def _count(g: EmbeddedMultiGraph, exact_threshold: int = EXACT_COUNT_THRESHOLD) -> TreeCount:
+def _count(g: EmbeddedMultiGraph) -> TreeCount:
     """The body of :func:`count_spanning_trees`, for a nonempty graph known to be connected."""
     n = g.num_vertices
     if n == 1:
         return TreeCount(1, True, 0.0)
     verts = g.vertices
-    if n <= exact_threshold:
+    if n <= EXACT_COUNT_THRESHOLD:
         value = _minor(verts, _endpoint_iter(g), {verts[-1]})
         return TreeCount(value, True, log2_int(value))
     m = reduced_laplacian(verts[:-1], _endpoint_iter(g), np.zeros((n - 1, n - 1)))

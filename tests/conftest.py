@@ -7,10 +7,12 @@ tests all read from it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import settings
 
-from treescore import make_grid, verify_run_products
+from treescore import make_grid, sampler, spectral, verify_run_products
 from treescore.fixtures import (
     make_complete4,
     make_cycle,
@@ -24,6 +26,22 @@ from treescore.fixtures import (
 # a loaded machine.
 settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@contextmanager
+def exact_up_to(n: int):
+    """Inside the block, samplers and tree counts are exact only up to n vertices.
+
+    A context manager rather than a fixture, so that ``@given`` tests can use
+    it too. ``n = 1`` sends every multi-vertex graph down the float paths.
+    """
+    saved = sampler.EXACT_SAMPLER_THRESHOLD, spectral.EXACT_COUNT_THRESHOLD
+    sampler.EXACT_SAMPLER_THRESHOLD = spectral.EXACT_COUNT_THRESHOLD = n
+    try:
+        yield
+    finally:
+        sampler.EXACT_SAMPLER_THRESHOLD, spectral.EXACT_COUNT_THRESHOLD = saved
+
 
 RUN_CORPUS_SPEC = {
     # (grid name, mode) -> (runs, base seed); 1,000 runs per mode in total.

@@ -300,6 +300,27 @@ def test_score_ratios_build_the_graph_engine_once(monkeypatch):
         assert built == [frozenset(g.vertices)]
 
 
+def test_score_ratio_runs_skip_the_connectivity_check(monkeypatch):
+    import sys
+
+    from treescore.graphs import EmbeddedMultiGraph
+    from treescore.sampler import _RunState, graph_engine
+
+    callers = []
+    real = EmbeddedMultiGraph.is_connected
+
+    def counting(self):
+        callers.append(sys._getframe(1).f_code)
+        return real(self)
+
+    monkeypatch.setattr(EmbeddedMultiGraph, "is_connected", counting)
+    report = verify_score_ratios(make_grid(4, 5), 4, 4, 4)
+    assert report.holds and report.instances_checked == 501
+    # G is checked once, by the engine every plan's deletion run copies
+    assert callers.count(graph_engine.__code__) == 1
+    assert _RunState.__init__.__code__ not in callers
+
+
 @pytest.mark.parametrize(
     "name,g",
     [("grid4x4", make_grid(4, 4))] + planar_fixture_suite(count=30, max_vertices=12),

@@ -8,10 +8,14 @@ accumulates exactly 1/trees(G), for any edge-selection rule.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
+from conftest import exact_up_to
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treescore import (
     CachedTreeSampler,
@@ -32,8 +36,14 @@ from treescore import (
     save_trace,
     trace_to_jsonl,
 )
-from treescore.fixtures import make_cycle, make_diamond, make_theta
-from treescore.sampler import _walk_incidence, _wilson_walk
+from treescore.fixtures import (
+    make_cycle,
+    make_diamond,
+    make_theta,
+    planar_fixture_suite,
+    random_planar_multigraph,
+)
+from treescore.sampler import _walk_incidence, _wilson_walk, graph_engine
 
 
 def explore_all_paths(g, choose_edge):
@@ -200,7 +210,8 @@ def test_constrained_deletions_rejects_disconnect():
 
 
 def test_float_mode_close_to_exact(grid33):
-    trace = sample_tree_resistance(grid33, seed=3, exact_threshold=1)
+    with exact_up_to(1):
+        trace = sample_tree_resistance(grid33, seed=3)
     assert trace.complete
     assert float(trace.p_product()) == pytest.approx(1 / 192, rel=1e-9)
     assert len(trace.tree) == 8
@@ -268,6 +279,72 @@ def test_cached_sampler_reuses_rng():
     rng = Random(4)
     seq2 = [sampler.sample(rng) for _ in range(10)]
     assert seq1 == seq2
+
+
+def assert_cached_draws_equal_plain_runs(g, n, seed, policy):
+    rng = Random(seed)
+    plain = Counter(sample_tree_resistance(g, rng=rng, policy=policy).tree for _ in range(n))
+    assert sample_trees_counter(g, n, seed=seed, policy=policy) == plain
+
+
+@pytest.mark.parametrize("name,g", planar_fixture_suite())
+def test_cached_sampler_draws_what_plain_runs_draw(name, g):
+    reverse = EdgePolicy.given_order(sorted(g.edges_dict(), reverse=True))
+    for seed, policy in [(1, None), (2, EdgePolicy.lowest_id()), (3, reverse)]:
+        assert_cached_draws_equal_plain_runs(g, 60, seed, policy)
+
+
+@given(seed=st.integers(0, 10**6), n=st.integers(0, 80), reverse=st.booleans())
+@settings(max_examples=40)
+def test_cached_sampler_draws_what_plain_runs_draw_on_random_multigraphs(seed, n, reverse):
+    g = random_planar_multigraph(seed)
+    order = sorted(g.edges_dict(), reverse=True)
+    policy = EdgePolicy.given_order(order) if reverse else EdgePolicy.lowest_id()
+    assert_cached_draws_equal_plain_runs(g, n, seed, policy)
+
+
+def test_cached_sampler_builds_one_engine_and_makes_one_run_per_new_tree(monkeypatch):
+    from treescore import sampler
+    from treescore._adjugate import TreeCountEngine
+
+    builds, runs = [], []
+    real_init, real_run = TreeCountEngine.__init__, sampler._run
+
+    def init(self, *args, **kwargs):
+        builds.append(len(args[0]))
+        real_init(self, *args, **kwargs)
+
+    def run(*args, **kwargs):
+        runs.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(TreeCountEngine, "__init__", init)
+    monkeypatch.setattr(sampler, "_run", run)
+    g = make_grid(3, 3)
+    cached = CachedTreeSampler(g)
+    assert builds == [] and runs == []
+    rng, seen = Random(5), set()
+    for _ in range(300):
+        before = len(runs)
+        tree = cached.sample(rng)
+        # a run ends at a tree no earlier run reached; a cached path makes none
+        assert len(runs) - before == (tree not in seen)
+        seen.add(tree)
+    assert builds == [9]
+    assert len(runs) == len(seen) > 100
+
+
+def test_cached_sampler_refuses_a_disconnected_graph_when_it_samples():
+    g = EmbeddedMultiGraph(
+        {0: (0, 1), 1: (2, 3)},
+        {0: [(0, 0)], 1: [(0, 1)], 2: [(1, 0)], 3: [(1, 1)]},
+    )
+    cached = CachedTreeSampler(g)
+    assert sample_trees_counter(g, 0, seed=1) == Counter()
+    with pytest.raises(DisconnectedGraphError):
+        cached.sample(Random(0))
+    with pytest.raises(DisconnectedGraphError):
+        graph_engine(g)
 
 
 def test_trace_jsonl_round_trip(grid33, tmp_path):

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import exact_up_to
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,7 +66,8 @@ def test_tree_count_fields():
 
 
 def test_tree_count_float_mode():
-    tc = count_spanning_trees(make_grid(3, 3), exact_threshold=1)
+    with exact_up_to(1):
+        tc = count_spanning_trees(make_grid(3, 3))
     assert not tc.exact
     assert tc.log2 == pytest.approx(7.5849625, abs=1e-9)
 
@@ -228,7 +230,8 @@ MULTIGRAPHS = st.builds(
 @given(g=MULTIGRAPHS)
 @settings(max_examples=60)
 def test_float_count_matches_exact(g):
-    approx = count_spanning_trees(g, exact_threshold=1)
+    with exact_up_to(1):
+        approx = count_spanning_trees(g)
     assert not approx.exact
     assert approx.log2 == pytest.approx(math.log2(int(count_spanning_trees(g))), abs=1e-9)
 
@@ -250,6 +253,7 @@ def test_float_flow_matches_exact(g, pick):
 @given(g=MULTIGRAPHS, seed=st.integers(0, 10**6))
 @settings(max_examples=60)
 def test_float_sampler_certificate_matches_tree_count(g, seed):
-    trace = sample_tree_resistance(g, seed=seed, exact_threshold=1)
+    with exact_up_to(1):
+        trace = sample_tree_resistance(g, seed=seed)
     assert not trace.exact and trace.complete
     assert trace.p_product() == pytest.approx(1 / int(count_spanning_trees(g)), rel=1e-9)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import exact_up_to
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,12 @@ from treescore.fixtures import random_planar_multigraph
 from treescore.sampler import _RunState
 
 SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def small_prime_state(g):
+    """An exact run state whose engine draws its moduli from ``SMALL_PRIMES``."""
+    engine = TreeCountEngine(set(g.vertices), g.edges_dict(), primes=SMALL_PRIMES)
+    return _RunState(g, exact=True, engine=engine)
 
 
 def assert_matches_oracle(state):
@@ -64,13 +71,13 @@ def test_counts_equal_bareiss_under_random_edits(seed, ops):
 @settings(max_examples=40)
 def test_counts_equal_bareiss_with_tiny_primes(seed, ops):
     # Primes this small divide tau often, so the engine keeps rebuilding.
-    state = _RunState(random_planar_multigraph(seed), exact=True, primes=SMALL_PRIMES)
+    state = small_prime_state(random_planar_multigraph(seed))
     edit_and_check(state, ops)
 
 
 def test_prime_dividing_tau_forces_rebuild():
     g = make_grid(3, 3)  # 192 = 2**6 * 3 spanning trees
-    state = _RunState(g, exact=True, primes=SMALL_PRIMES)
+    state = small_prime_state(g)
     assert state.trees == 192
     engine = state._tree_counts()
     assert 2 not in engine.primes and 3 not in engine.primes
@@ -81,7 +88,7 @@ def test_prime_dividing_tau_forces_rebuild():
 
 def test_rebuild_retries_while_a_replacement_prime_divides_the_new_tau(monkeypatch):
     g = make_grid(5, 4)  # tau = 3**2 * 11 * 19 * 31 * 71
-    state = _RunState(g, exact=True, primes=SMALL_PRIMES)
+    state = small_prime_state(g)
     engine = state._tree_counts()
     u, v = state.edges[2]
     s = state.trees_containing(u, v)
@@ -178,5 +185,6 @@ def test_trace_records_mode():
     g = make_grid(3, 3)
     exact = sample_tree_resistance(g, seed=1)
     assert exact.exact and all(isinstance(s.resistance, Fraction) for s in exact.steps)
-    floating = sample_tree_resistance(g, seed=1, exact_threshold=1)
+    with exact_up_to(1):
+        floating = sample_tree_resistance(g, seed=1)
     assert not floating.exact and floating.initial_trees is None
