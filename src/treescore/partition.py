@@ -87,6 +87,11 @@ def _size_within(size: int, n: int, m: int, tolerance: int) -> bool:
     return abs(size * m - n) <= tolerance * m
 
 
+def _sizes_within(n: int, m: int, tolerance: int) -> range:
+    """The sizes :func:`_size_within` accepts, for ``m >= 1``."""
+    return range(-((tolerance * m - n) // m), (n + tolerance * m) // m + 1)
+
+
 def check_tolerant_partition(
     g: EmbeddedMultiGraph, p: Partition, tolerance: int
 ) -> list[str]:
@@ -97,19 +102,22 @@ def check_tolerant_partition(
     ``|V|/m`` (compared exactly: ``|size*m - |V|| <= tolerance*m``). With
     tolerance 0 this is exact balance.
     """
+    return _partition_problems(_adjacency(g), p, tolerance)
+
+
+def _partition_problems(adj: dict[int, set[int]], p: Partition, tolerance: int) -> list[str]:
+    """The body of :func:`check_tolerant_partition`, given the graph's ``_adjacency``."""
     problems: list[str] = []
-    n = g.num_vertices
+    n = len(adj)
     assigned = {v for v, _ in p.assignment}
-    verts = set(g.vertices)
-    if assigned != verts:
-        missing = sorted(verts - assigned)
-        extra = sorted(assigned - verts)
+    if assigned != adj.keys():
+        missing = sorted(adj.keys() - assigned)
+        extra = sorted(assigned - adj.keys())
         if missing:
             problems.append(f"unassigned vertices {missing}")
         if extra:
             problems.append(f"unknown vertices {extra}")
         return problems
-    adj = _adjacency(g)
     for i, block in enumerate(p.districts()):
         if not _size_within(len(block), n, p.m, tolerance):
             problems.append(

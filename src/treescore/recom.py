@@ -29,7 +29,9 @@ from .graphs import EmbeddedMultiGraph, induced_subgraph
 from .partition import (
     Partition,
     PartitionError,
-    _size_within,
+    _adjacency,
+    _partition_problems,
+    _sizes_within,
     check_tolerant_partition,
     cut_edges,
 )
@@ -133,11 +135,16 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one chain step."""
+    """Outcome of one chain step.
+
+    ``merged`` holds the vertices of the two districts the step merged: the
+    only vertices a split can move.
+    """
 
     partition: Partition
     skipped: bool
     resamples: int
+    merged: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -215,51 +222,41 @@ def balance_edges(
     side sizes always total the region size.
     """
     verts = sub.vertices
+    region = len(verts)
+    sizes = _sizes_within(n, m, tolerance)
+    lo, hi = sizes.start, sizes.stop - 1
+    fits = range(max(lo, region - hi), min(hi, region - lo) + 1)  # the side and the rest
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for e in sorted(tree):
+    for e in tree:
         u, v = sub.endpoints(e)
         adj[u].append((e, v))
         adj[v].append((e, u))
-    root = min(verts)
-    # Iterative post-order: subtree size below each tree edge.
-    order: list[tuple[int, int, int]] = []  # (vertex, parent-edge, parent)
+    root = verts[0]
+    # Stack traversal: each subtree is popped contiguously, right after its root.
+    order: list[int] = []
+    parent_edge: list[int] = []
+    parent_at: list[int] = []  # position of the parent in ``order``
     stack = [(root, -1, -1)]
     seen = {root}
     while stack:
-        v, pe, pv = stack.pop()
-        order.append((v, pe, pv))
+        v, pe, pi = stack.pop()
+        i = len(order)
+        order.append(v)
+        parent_edge.append(pe)
+        parent_at.append(pi)
         for e, w in adj[v]:
             if w not in seen:
                 seen.add(w)
-                stack.append((w, e, v))
-    subtree = {v: 1 for v in verts}
-    below: dict[int, tuple[int, int]] = {}  # parent edge -> (side size, child)
-    for v, pe, pv in reversed(order):
-        if pe >= 0:
-            below[pe] = (subtree[v], v)
-            subtree[pv] += subtree[v]
-    region = len(verts)
+                stack.append((w, e, i))
+    subtree = [1] * len(order)
     out = []
-    for e in sorted(below):
-        side, child = below[e]
-        if _size_within(side, n, m, tolerance) and _size_within(
-            region - side, n, m, tolerance
-        ):
-            child_side = _collect_side(adj, e, child)
-            out.append((e, frozenset(verts) - child_side))
+    for i in range(len(order) - 1, 0, -1):
+        side = subtree[i]
+        subtree[parent_at[i]] += side
+        if side in fits:
+            out.append((parent_edge[i], frozenset(order[:i] + order[i + side:])))
+    out.sort()
     return out
-
-
-def _collect_side(adj, cut_edge: int, start: int) -> frozenset[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e, w in adj[v]:
-            if e != cut_edge and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
 
 
 def recom_step(
@@ -276,12 +273,12 @@ def recom_step(
     After a successful split, the side containing the merged region's smallest
     vertex keeps the smaller of the two district labels.
     """
-    _require_valid(g, p, cfg)
+    _require_valid(_adjacency(g), p, cfg)
     return _step(g, p, rng, cfg)
 
 
-def _require_valid(g: EmbeddedMultiGraph, p: Partition, cfg: ChainConfig) -> None:
-    problems = check_tolerant_partition(g, p, cfg.balance_tolerance)
+def _require_valid(adj: dict[int, set[int]], p: Partition, cfg: ChainConfig) -> None:
+    problems = _partition_problems(adj, p, cfg.balance_tolerance)
     if problems:
         raise PartitionError("; ".join(problems))
 
@@ -322,8 +319,9 @@ def _step(
                 partition=Partition.from_dict(m, assignment),
                 skipped=False,
                 resamples=attempt,
+                merged=merged,
             )
-    return StepResult(partition=p, skipped=True, resamples=cfg.max_resample)
+    return StepResult(partition=p, skipped=True, resamples=cfg.max_resample, merged=merged)
 
 
 def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> EnsembleStats:
@@ -335,11 +333,17 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
     checked). An invalid start raises
     :class:`~treescore.partition.PartitionError`; an invalid split raises
     :class:`RecomError`, since it would mean the step construction is broken.
+    The graph's adjacency is built once for all these checks, and each cut
+    size is the previous one updated over the merged region's edges.
     """
-    _require_valid(g, p0, cfg)
+    adj = _adjacency(g)
+    _require_valid(adj, p0, cfg)
+    ends = _edge_ends(g)
     rng = random.Random(cfg.seed)
     p = p0
-    samples = [SampleRecord(0, cut_edges(g, p).size, p.digest())]
+    assignment = p.as_dict()
+    cut = cut_edges(g, p).size
+    samples = [SampleRecord(0, cut, p.digest())]
     skipped = 0
     for step in range(1, cfg.steps + 1):
         result = _step(g, p, rng, cfg)
@@ -347,13 +351,15 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
         if result.skipped:
             skipped += 1
         else:
-            problems = check_tolerant_partition(g, p, cfg.balance_tolerance)
+            problems = _partition_problems(adj, p, cfg.balance_tolerance)
             if problems:
                 raise RecomError(
                     f"step {step} produced an invalid partition: "
                     + "; ".join(problems)
                 )
-        samples.append(SampleRecord(step, cut_edges(g, p).size, p.digest()))
+            before, assignment = assignment, p.as_dict()
+            cut += _cut_change(ends, result.merged, before, assignment)
+        samples.append(SampleRecord(step, cut, p.digest()))
     histogram: dict[int, int] = {}
     for s in samples:
         histogram[s.cut_size] = histogram.get(s.cut_size, 0) + 1
@@ -367,3 +373,33 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
         skipped_steps=skipped,
         final_partition=p,
     )
+
+
+def _edge_ends(g: EmbeddedMultiGraph) -> dict[int, list[int]]:
+    """Per vertex, the other end of each incident non-loop edge (parallel edges repeat)."""
+    ends: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for u, v in g.edges_dict().values():
+        if u != v:
+            ends[u].append(v)
+            ends[v].append(u)
+    return ends
+
+
+def _cut_change(
+    ends: dict[int, list[int]],
+    merged: frozenset[int],
+    before: dict[int, int],
+    after: dict[int, int],
+) -> int:
+    """Cut size after minus before, when only vertices of ``merged`` changed district.
+
+    An edge leaving ``merged`` joins a merged district to another one, so it
+    is cut both before and after and adds 0; an edge inside ``merged`` is
+    seen from both ends.
+    """
+    change = 0
+    for v in merged:
+        bv, av = before[v], after[v]
+        for w in ends[v]:
+            change += (av != after[w]) - (bv != before[w])
+    return change // 2

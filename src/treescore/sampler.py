@@ -369,8 +369,17 @@ def _policy_select(policy: EdgePolicy) -> Callable[[_RunState], int | None]:
 
 
 def _coin(rng: Random, r: Fraction | float) -> bool:
-    """Algorithm 1's coin: True (contract) with probability r, from one ``random()``."""
-    return Fraction(rng.random()) < r
+    """Algorithm 1's coin: True (contract) with probability r, from one ``random()``.
+
+    Exact for a rational r: the draw's integer ratio is compared with r's by
+    cross-multiplying, as ``Fraction(x) < r`` would, without building the
+    ``Fraction``.
+    """
+    x = rng.random()
+    if isinstance(r, float):
+        return x < r
+    a, b = x.as_integer_ratio()
+    return a * r.denominator < r.numerator * b
 
 
 def sample_tree_resistance(
@@ -507,44 +516,71 @@ def sample_tree_wilson(
     return _wilson_walk(_walk_incidence(g), rng)
 
 
-def _walk_incidence(g: EmbeddedMultiGraph) -> dict[int, list[tuple[int, int]]]:
-    """Walk choices ``(edge, other end)`` per vertex in ``edges_dict()`` order, loops skipped.
+def _walk_incidence(g: EmbeddedMultiGraph) -> list[tuple[list[tuple[int, int] | None], int]]:
+    """Per vertex, in sorted order, its walk choices for :func:`_wilson_walk`.
 
-    Raises :class:`DisconnectedGraphError` unless ``g`` is connected.
+    A vertex's entry is ``(choices, k)``: its ``d`` walk steps ``(edge,
+    position of the other end)`` in ``edges_dict()`` order, loops skipped,
+    padded with ``None`` to ``2**k`` entries, where ``k = d.bit_length()``; a
+    vertex without steps has an empty list. Raises
+    :class:`DisconnectedGraphError` unless ``g`` is connected.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("graph is not connected")
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    verts = g.vertices
+    at = {v: i for i, v in enumerate(verts)}
+    steps: list[list[tuple[int, int] | None]] = [[] for _ in verts]
     for e, (u, v) in g.edges_dict().items():
         if u == v:
             continue
-        incident[u].append((e, v))
-        incident[v].append((e, u))
-    return incident
+        steps[at[u]].append((e, at[v]))
+        steps[at[v]].append((e, at[u]))
+    out = []
+    for c in steps:
+        k = len(c).bit_length()
+        out.append((c + [None] * ((1 << k) - len(c)) if c else c, k))
+    return out
 
 
-def _wilson_walk(incident: dict[int, list[tuple[int, int]]], rng: Random) -> frozenset[int]:
-    """The loop-erased walks of :func:`sample_tree_wilson` over a built incidence."""
-    verts = list(incident)
-    root = verts[0]
-    in_tree = {root}
-    next_edge: dict[int, int] = {}
-    next_vertex: dict[int, int] = {}
+def _wilson_walk(
+    incident: list[tuple[list[tuple[int, int] | None], int]], rng: Random
+) -> frozenset[int]:
+    """The loop-erased walks of :func:`sample_tree_wilson` over a built incidence.
+
+    The root is the first vertex. Each walk step draws its choice as
+    ``rng.randrange(d)`` does: ``k = d.bit_length()`` bits from
+    ``getrandbits``, drawn again while they are not below ``d`` (they land on
+    the ``None`` padding). The trees and the state ``rng`` is left in are
+    those of ``randrange``. A ``Random`` subclass that overrides ``random()``
+    but not ``getrandbits()`` draws ``randrange`` from ``random()`` instead,
+    so it gets another stream here. A non-root vertex with no choice raises
+    ``ValueError``, as ``randrange(0)`` does.
+    """
+    getrandbits = rng.getrandbits
+    n = len(incident)
+    in_tree = [False] * n
+    in_tree[0] = True
+    step: list[tuple[int, int] | None] = [None] * n
     tree: list[int] = []
-    for start in verts:
-        if start in in_tree:
+    for start in range(1, n):
+        if in_tree[start]:
             continue
         u = start
-        while u not in in_tree:
-            e, w = incident[u][rng.randrange(len(incident[u]))]
-            next_edge[u] = e
-            next_vertex[u] = w
-            u = w
+        try:
+            while not in_tree[u]:
+                choices, k = incident[u]
+                choice = choices[getrandbits(k)]
+                while choice is None:
+                    choice = choices[getrandbits(k)]
+                step[u] = choice
+                u = choice[1]
+        except IndexError:
+            raise ValueError(f"vertex at position {u} has no walk choice") from None
         u = start
-        while u not in in_tree:
-            in_tree.add(u)
-            tree.append(next_edge[u])
-            u = next_vertex[u]
+        while not in_tree[u]:
+            in_tree[u] = True
+            e, u = step[u]
+            tree.append(e)
     return frozenset(tree)
 
 

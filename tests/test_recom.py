@@ -215,13 +215,13 @@ def test_csv_and_json_output(grid22):
 @pytest.mark.parametrize("sampler", recom.TREE_SAMPLERS)
 def test_run_chain_checks_each_visited_partition_once(monkeypatch, grid44, sampler):
     checked = []
-    real = recom.check_tolerant_partition
+    real = recom._partition_problems
 
-    def counting(g, p, tolerance):
+    def counting(adj, p, tolerance):
         checked.append(p)
-        return real(g, p, tolerance)
+        return real(adj, p, tolerance)
 
-    monkeypatch.setattr(recom, "check_tolerant_partition", counting)
+    monkeypatch.setattr(recom, "_partition_problems", counting)
     p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
     stats = run_chain(grid44, p, ChainConfig(steps=60, seed=3, max_resample=1,
                                              tree_sampler=sampler))
