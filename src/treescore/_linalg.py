@@ -1,9 +1,11 @@
-"""Exact integer/rational linear algebra used by the counting and flow routines."""
+"""Dense Laplacian assembly, Bareiss determinants, float unit flows, and log2 helpers."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def det_bareiss(m: list[list[int]]) -> int:
@@ -45,10 +47,10 @@ def reduced_laplacian(kept: list[int], endpoints, m):
     """Add the multigraph Laplacian, restricted to ``kept``, into ``m`` and return it.
 
     ``m`` is a caller-supplied zero matrix indexed ``m[i][j]``, row and
-    column i standing for ``kept[i]``: a list of int or ``Fraction`` rows, or
-    a numpy array. ``endpoints`` iterates over (u, v) pairs, one per edge:
-    parallel edges add up, self-loops are skipped, and an endpoint outside
-    ``kept`` (a grounded vertex) contributes only to the other's diagonal.
+    column i standing for ``kept[i]``: a list of int rows or a numpy array.
+    ``endpoints`` iterates over (u, v) pairs, one per edge: parallel edges
+    add up, self-loops are skipped, and an endpoint outside ``kept`` (a
+    grounded vertex) contributes only to the other's diagonal.
     """
     idx = {v: i for i, v in enumerate(kept)}
     for u, v in endpoints:
@@ -66,6 +68,17 @@ def reduced_laplacian(kept: list[int], endpoints, m):
     return m
 
 
+def unit_voltages(kept: list[int], endpoints, i: int) -> np.ndarray:
+    """Float voltages, grounded vertices at 0, for one unit of current into ``kept[i]``.
+
+    One dense solve of the Laplacian restricted to ``kept``.
+    """
+    n = len(kept)
+    b = np.zeros(n)
+    b[i] = 1.0
+    return np.linalg.solve(reduced_laplacian(kept, endpoints, np.zeros((n, n))), b)
+
+
 def laplacian_minor_det(
     vertices: list[int],
     endpoints,
@@ -81,34 +94,6 @@ def laplacian_minor_det(
     kept = [v for v in vertices if v not in excluded]
     n = len(kept)
     return det_bareiss(reduced_laplacian(kept, endpoints, [[0] * n for _ in range(n)]))
-
-
-def solve_rational(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a x = b exactly over the rationals (Gaussian elimination, partial pivot)."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular system")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            if f:
-                f = f / pk
-                for j in range(k, n + 1):
-                    m[i][j] -= f * m[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / m[k][k]
-    return x
 
 
 def log2_int(n: int) -> float:

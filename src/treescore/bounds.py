@@ -34,7 +34,8 @@ from .partition import (
     validate_partition,
 )
 from .sampler import graph_engine, run_constrained_deletions
-from .spectral import TreeCount, count_spanning_trees
+from . import spectral
+from .spectral import count_spanning_trees
 
 CLAIMS = ("lemma32", "theorem31", "eq4", "corollary")
 GUARD = 1e-9
@@ -252,11 +253,17 @@ def verify_score_ratio(
 
     Both sides exact. The score is cross-checked by a second route: delete
     the non-retained cut edges step by step and multiply the per-step
-    survival probabilities, which must telescope to the same ratio.
+    survival probabilities, which must telescope to the same ratio. A graph
+    above ``spectral.EXACT_COUNT_THRESHOLD`` vertices is refused.
     """
+    if g.num_vertices > spectral.EXACT_COUNT_THRESHOLD:
+        raise BoundsError(
+            f"graph has {g.num_vertices} vertices; exact tree counts stop at "
+            f"{spectral.EXACT_COUNT_THRESHOLD}"
+        )
     _require_bounded(g, k1, k2)
     c1, c2 = _constants(k1, k2)
-    trees = count_spanning_trees(g)
+    trees = int(count_spanning_trees(g))
     return _score_ratio_report(g, p, spanning_tree_score(g, p), c1, c2, trees, None)
 
 
@@ -266,7 +273,7 @@ def _score_ratio_report(
     score: int,
     c1: Fraction,
     c2: Fraction,
-    trees: TreeCount,
+    trees: int,
     engine: TreeCountEngine | None,
 ) -> BoundReport:
     """The body of :func:`verify_score_ratio` for a valid ``p`` and a certified ``g``.
@@ -277,70 +284,47 @@ def _score_ratio_report(
     b = cut.size
     expo = b - p.m + 1
     violations: list = []
-    notes: list[str] = []
-    margins: dict = {}
-
     deletable, retained = _deletion_set(g, p, cut.edges)
     prob, remaining = run_constrained_deletions(g, deletable, engine)
 
-    if trees.exact:
-        ratio = Fraction(score, int(trees))
-        lower = c1**expo
-        upper = c2**expo
-        rem_trees = int(count_spanning_trees(remaining))
-        if rem_trees != score or prob != Fraction(score, int(trees)):
-            violations.append(
-                {
-                    "kind": "score-cross-check",
-                    "partition": p.digest(),
-                    "score": score,
-                    "trees-avoiding-cut": rem_trees,
-                    "deletion-probability": prob,
-                }
-            )
-        if ratio < lower:
-            violations.append(
-                {
-                    "kind": "lower",
-                    "partition": p.digest(),
-                    "cut-size": b,
-                    "ratio": ratio,
-                    "bound": lower,
-                }
-            )
-        if ratio > upper:
-            violations.append(
-                {
-                    "kind": "upper",
-                    "partition": p.digest(),
-                    "cut-size": b,
-                    "ratio": ratio,
-                    "bound": upper,
-                }
-            )
-        margins["lower-slack-log2"] = log2_fraction(ratio) - log2_fraction(lower)
-        margins["upper-slack-log2"] = log2_fraction(upper) - log2_fraction(ratio)
-        notes.append("exact arithmetic")
-    else:
-        log_ratio = math.log2(score) - trees.log2
-        lo = expo * log2_fraction(c1)
-        hi = expo * log2_fraction(c2)
-        guard = GUARD * max(1.0, abs(lo), abs(hi))
-        if log_ratio < lo - guard:
-            violations.append(
-                {"kind": "lower", "partition": p.digest(), "cut-size": b,
-                 "log2-ratio": log_ratio, "log2-bound": lo}
-            )
-        if log_ratio > hi + guard:
-            violations.append(
-                {"kind": "upper", "partition": p.digest(), "cut-size": b,
-                 "log2-ratio": log_ratio, "log2-bound": hi}
-            )
-        margins["lower-slack-log2"] = log_ratio - lo
-        margins["upper-slack-log2"] = hi - log_ratio
-        notes.append("approximate tree count; log-domain comparison with guard band")
-
-    notes.append(f"cut size {b}, exponent {expo}, retained {len(retained)} cut edges")
+    ratio = Fraction(score, trees)
+    lower = c1**expo
+    upper = c2**expo
+    rem_trees = int(count_spanning_trees(remaining))
+    if rem_trees != score or prob != ratio:
+        violations.append(
+            {
+                "kind": "score-cross-check",
+                "partition": p.digest(),
+                "score": score,
+                "trees-avoiding-cut": rem_trees,
+                "deletion-probability": prob,
+            }
+        )
+    if ratio < lower:
+        violations.append(
+            {
+                "kind": "lower",
+                "partition": p.digest(),
+                "cut-size": b,
+                "ratio": ratio,
+                "bound": lower,
+            }
+        )
+    if ratio > upper:
+        violations.append(
+            {
+                "kind": "upper",
+                "partition": p.digest(),
+                "cut-size": b,
+                "ratio": ratio,
+                "bound": upper,
+            }
+        )
+    margins = {
+        "lower-slack-log2": log2_fraction(ratio) - log2_fraction(lower),
+        "upper-slack-log2": log2_fraction(upper) - log2_fraction(ratio),
+    }
     return BoundReport(
         claim="eq4",
         instances_checked=1,
@@ -349,7 +333,10 @@ def _score_ratio_report(
         margins=margins,
         c1=c1,
         c2=c2,
-        notes=tuple(notes),
+        notes=(
+            "exact arithmetic",
+            f"cut size {b}, exponent {expo}, retained {len(retained)} cut edges",
+        ),
     )
 
 
@@ -366,10 +353,9 @@ def verify_score_ratios(
     _require_bounded(g, k1, k2)
     table = spanning_tree_distribution(g, m, max_vertices=max_vertices)
     c1, c2 = _constants(k1, k2)
-    trees = TreeCount(table.graph_trees)
     engine = graph_engine(g)
     reports = [
-        _score_ratio_report(g, e.partition, e.score, c1, c2, trees, engine)
+        _score_ratio_report(g, e.partition, e.score, c1, c2, table.graph_trees, engine)
         for e in table.entries
     ]
     return replace(

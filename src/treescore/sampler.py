@@ -21,10 +21,10 @@ Hadamard's bound on tau and checked against a spare prime; tau is tracked as
 an exact integer, and a prime that divides the new tau is replaced by a
 rebuild. Many exact runs on one graph can share its engine
 (:func:`graph_engine`); each edits a copy. Above the threshold r is a float
-from a dense solve of the Laplacian grounded at one endpoint, assembled by
-``_linalg.reduced_laplacian``. Both modes go through one step,
-``_RunState.resistance``, which also decides the forced moves: self-loops,
-r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0 or 1.
+from a dense solve of the Laplacian grounded at one endpoint
+(``_linalg.unit_voltages``, shared with float flows). Both modes go through
+one step, ``_RunState.resistance``, which also decides the forced moves:
+self-loops, r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0 or 1.
 
 Every run is one loop, ``_run``, told by two callables which edge comes next
 and what to do with it. A sampled tree selects by ``EdgePolicy`` and flips
@@ -51,10 +51,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
-import numpy as np
-
 from ._adjugate import TreeCountEngine
-from ._linalg import reduced_laplacian
+from ._linalg import unit_voltages
 from .graphs import EmbeddedMultiGraph
 from .spectral import DisconnectedGraphError
 
@@ -270,12 +268,8 @@ class _RunState:
             r = Fraction(self.trees_containing(u, v), self.trees)
             return r, ("contracted" if r == 1 else None)
         kept = sorted(w for w in self.vertices if w != v)
-        n = len(kept)
         iu = kept.index(u)
-        b = np.zeros(n)
-        b[iu] = 1.0
-        x = np.linalg.solve(reduced_laplacian(kept, self.edges.values(), np.zeros((n, n))), b)
-        r = float(x[iu])
+        r = float(unit_voltages(kept, self.edges.values(), iu)[iu])
         if r >= 1.0 - FLOAT_FORCED_TOL:
             return 1.0, "contracted"
         if r <= FLOAT_FORCED_TOL:

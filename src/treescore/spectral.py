@@ -16,8 +16,13 @@ bandwidth b. Both give the same integer.
 
 Dense matrices here are built by ``_linalg.reduced_laplacian``, which fixes
 the rules once: the grounded vertex is left out of the kept list, self-loops
-are skipped and parallel edges add up. Its ``Fraction`` and float variants
-differ only in the zero matrix they are given.
+are skipped and parallel edges add up.
+
+A unit flow from s to t is exact up to ``EXACT_FLOW_THRESHOLD`` vertices:
+its voltages are columns s and t of the grounded adjugate, read from one
+``_adjugate.TreeCountEngine``, over the tree count. Above it they come from
+one float solve (``_linalg.unit_voltages``), the same one the sampler's float
+step makes.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import laplacian_minor_det, log2_int, reduced_laplacian, solve_rational
+from ._adjugate import TreeCountEngine
+from ._linalg import laplacian_minor_det, log2_int, reduced_laplacian, unit_voltages
 from ._modular import minor_det
 from .graphs import EmbeddedMultiGraph
 
@@ -169,12 +175,12 @@ def solve_flow(
     source: int,
     sink: int,
     exact: bool | None = None,
-    refine_tol: float = 1e-12,
 ) -> FlowSolution:
     """Voltages and currents for one unit of current from source to sink.
 
-    Exact rational arithmetic below the size threshold; otherwise a floating
-    SPD solve with the sink pinned to zero and iterative refinement.
+    Exact below the size threshold: two columns of the grounded adjugate,
+    from one ``TreeCountEngine``, over the tree count. Otherwise one dense
+    float solve with the sink grounded.
     """
     if source == sink:
         raise ValueError("source and sink must differ")
@@ -187,30 +193,18 @@ def solve_flow(
         exact = g.num_vertices <= EXACT_FLOW_THRESHOLD
 
     kept = [v for v in verts if v != sink]
-    idx = {v: i for i, v in enumerate(kept)}
-    n = len(kept)
-
     if exact:
-        a = reduced_laplacian(kept, _endpoint_iter(g), [[Fraction(0)] * n for _ in range(n)])
-        b = [Fraction(0)] * n
-        b[idx[source]] = Fraction(1)
-        x = solve_rational(a, b)
-        voltages: dict = {v: x[idx[v]] for v in kept}
+        engine = TreeCountEngine(set(verts), g.edges_dict())
+        a_s = engine.adjugate_column(source)
+        a_t = engine.adjugate_column(sink)
+        shift = a_t.get(sink, 0) - a_s.get(sink, 0)
+        voltages: dict = {
+            v: Fraction(a_s.get(v, 0) - a_t.get(v, 0) + shift, engine.tau) for v in kept
+        }
         voltages[sink] = Fraction(0)
     else:
-        from scipy.linalg import cho_factor, cho_solve
-
-        a = reduced_laplacian(kept, _endpoint_iter(g), np.zeros((n, n)))
-        b = np.zeros(n)
-        b[idx[source]] = 1.0
-        factor = cho_factor(a)
-        x = cho_solve(factor, b)
-        for _ in range(50):
-            res = b - a @ x
-            if float(np.max(np.abs(res))) <= refine_tol:
-                break
-            x = x + cho_solve(factor, res)
-        voltages = {v: float(x[idx[v]]) for v in kept}
+        x = unit_voltages(kept, _endpoint_iter(g), kept.index(source))
+        voltages = {v: float(xv) for v, xv in zip(kept, x)}
         voltages[sink] = 0.0
 
     currents: dict = {}

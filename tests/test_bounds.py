@@ -10,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import exact_up_to
 
 from treescore import (
     BoundReport,
@@ -36,6 +37,7 @@ from treescore import (
     verify_score_ratio,
     verify_score_ratios,
 )
+from treescore import bounds
 from treescore.bounds import gap_alpha_log2
 from treescore.fixtures import (
     make_twelve_county,
@@ -162,6 +164,19 @@ def test_score_ratio_single_partition(grid44):
         spanning_tree_score(grid44, p), int(count_spanning_trees(grid44))
     )
     assert Fraction(1, 8) ** (b - 1) <= ratio <= Fraction(3, 4) ** (b - 1)
+
+
+def test_score_ratio_refuses_a_graph_above_the_exact_count_threshold(monkeypatch):
+    """No log-domain approximation: the claim is refused before any count."""
+    g = make_grid(3, 3)
+    p = Partition.from_dict(3, {v: v % 3 for v in g.vertices})
+
+    def no_count(h):
+        raise AssertionError("counted trees of a refused graph")
+
+    monkeypatch.setattr(bounds, "count_spanning_trees", no_count)
+    with exact_up_to(4), pytest.raises(BoundsError, match="exact tree counts stop at 4"):
+        verify_score_ratio(g, p, 4, 4)
 
 
 def test_score_ratios_small_grid_exhaustive():
