@@ -79,6 +79,13 @@ def unit_voltages(kept: list[int], endpoints, i: int) -> np.ndarray:
     return np.linalg.solve(reduced_laplacian(kept, endpoints, np.zeros((n, n))), b)
 
 
+def grounded_resistance(vertices, endpoints, u: int, v: int) -> float:
+    """Float effective resistance between u and v: one solve grounded at v."""
+    kept = sorted(w for w in vertices if w != v)
+    iu = kept.index(u)
+    return float(unit_voltages(kept, endpoints, iu)[iu])
+
+
 def laplacian_minor_det(
     vertices: list[int],
     endpoints,

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ._adjugate import TreeCountEngine
 from ._linalg import log2_fraction
-from .graphs import EmbeddedMultiGraph, check_bounded
+from .graphs import EmbeddedMultiGraph, _UnionFind, check_bounded
 from .partition import (
     DistEntry,
     DistributionTable,
@@ -223,24 +223,15 @@ def _deletion_set(
 ) -> tuple[list[int], list[int]]:
     """The body of :func:`partition_deletion_set` for a valid partition with cut ``cut``."""
     assign = p.as_dict()
-    parent = list(range(p.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    districts = _UnionFind(range(p.m))
     retained: list[int] = []
     deletable: list[int] = []
     for e in sorted(cut):
         u, v = g.endpoints(e)
-        du, dv = find(assign[u]), find(assign[v])
-        if du != dv:
-            parent[du] = dv
-            retained.append(e)
-        else:
+        if districts.union(assign[u], assign[v]) is None:
             deletable.append(e)
+        else:
+            retained.append(e)
     if len(retained) != p.m - 1:
         raise BoundsError("district quotient is not connected")
     return deletable, retained

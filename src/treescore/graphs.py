@@ -93,10 +93,6 @@ class EmbeddedMultiGraph:
     def rotation(self, v: int) -> list[Dart]:
         return list(self._rotation[v])
 
-    def dart_vertex(self, dart: Dart) -> int:
-        e, s = dart
-        return self._edges[e][s]
-
     def neighbors(self, v: int) -> set[int]:
         out = set()
         for e, s in self._rotation[v]:
@@ -229,6 +225,31 @@ class EmbeddedMultiGraph:
             face_degree=face_degree,
             euler=euler,
         )
+
+
+class _UnionFind:
+    """Union-find with minimum-element representatives."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> int | None:
+        """Join the classes of a and b; the kept root, or None if they were one class."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        keep, gone = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[gone] = keep
+        return keep
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,28 @@
 """Pile-based potential tracking for contraction/deletion runs.
 
 A run of the resistance-driven sampler removes one edge per step, either
-deleting it (merging the two faces beside it) or contracting it (merging its
-two endpoints). This module tracks a potential over such a run: start with one
-pebble on every vertex and face except the exempt vertex ``v0`` and exempt
-face ``f0``, which start with piles equal to their degrees. Each deletion
-combines the piles of the two merged faces; each contraction combines the
-piles of the two merged vertices. The potential ``P_i`` is the product of all
-pile sizes, so ``P_0 = deg(v0) * deg(f0)``.
+deleting it or contracting it. This module tracks a potential over such a
+run: start with one pebble on every vertex and face except the exempt vertex
+``v0`` and exempt face ``f0``, which start with piles equal to their degrees.
+The potential ``P_i`` is the product of all pile sizes, so
+``P_0 = deg(v0) * deg(f0)``.
+
+Deleting an edge of G contracts its dual edge in G*, so both actions follow
+one rule with the sides of the duality swapped: merge the two classes at the
+edge's ends on one side (adding their piles, and their degrees less the
+edge's two ends) and take the edge's ends off the degrees on the other side.
+A deletion merges the two faces beside e and lowers the degrees of e's
+endpoints; a contraction merges e's endpoints and lowers the degrees of the
+faces beside e.
 
 On a degree-bounded graph (every non-exempt vertex degree at most ``k1``,
 every non-exempt face degree at most ``k2``, no self-loops in the graph or its
-dual) the potential certifies step-probability lower bounds:
+dual) the potential certifies step-probability lower bounds. With ``k`` the
+bound of the merged side (``k2`` for a deletion, ``k1`` for a contraction):
 
-* after a deletion step,    ``p_i * P_{i-1} / P_i >= 1 / (2 k2)``;
-* after a contraction step, ``p_i * P_{i-1} / P_i >= 1 / (2 k1)``;
-* the supporting facts are ``p_i >= 1/deg(f)`` for each face beside a deleted
-  edge (resp. ``p_i >= 1/deg(v)`` for each endpoint of a contracted edge) and
-  the invariant ``deg(f) <= k2 * pile(f)`` / ``deg(v) <= k1 * pile(v)``;
+* ``p_i * P_{i-1} / P_i >= 1 / (2 k)``;
+* the supporting facts are ``p_i >= 1/deg(x)`` for both merged classes x,
+  and the invariant ``deg(x) <= k * pile(x)`` on each side;
 * the exempt piles never merge with each other and only grow, so
   ``P_i >= P_0`` at every step.
 
@@ -35,9 +40,8 @@ Individual ``p_i`` may fall outside those per-step ranges (forced moves have
 ``p_i = 1``); only the prefix products are bounded. Reports record where that
 happens so test suites can exhibit it.
 
-Pile sizes are kept factored (a multiset per step, trivial piles of size one
-omitted); products are only materialized on demand, and log-domain values are
-available for reporting.
+Pile sizes are kept factored: a multiset per step, trivial piles of size one
+omitted.
 """
 
 from __future__ import annotations
@@ -46,11 +50,18 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
 from ._linalg import log2_fraction
 from .bounds import GUARD, BoundReport, BoundsError, _require_bounded, merge_reports
-from .graphs import BoundednessCertificate, EmbeddedMultiGraph, bound_violations
-from .sampler import SampleTrace, _num, sample_deletion_run, sample_tree_resistance
+from .graphs import (
+    BoundednessCertificate,
+    DualGraph,
+    EmbeddedMultiGraph,
+    _UnionFind,
+    bound_violations,
+)
+from .sampler import SampleTrace, _deletion_run, _num, _resistance_run, graph_engine
 
 __all__ = [
     "PebbleError",
@@ -66,32 +77,6 @@ __all__ = [
 
 class PebbleError(ValueError):
     """Trace/graph mismatch or invalid input to the pile tracker."""
-
-
-class _UnionFind:
-    """Union-find with minimum-element representatives."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        keep, gone = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[gone] = keep
-        return keep
 
 
 @dataclass(frozen=True)
@@ -143,16 +128,10 @@ class PebbleHistory:
 
     def potential(self, i: int) -> int:
         """Exact potential ``P_i`` (product of pile sizes after step i)."""
-        prod = 1
-        for size in self.pile_sizes[i]:
-            prod *= size
-        return prod
+        return math.prod(self.pile_sizes[i])
 
     def potentials(self) -> tuple[int, ...]:
         return tuple(self.potential(i) for i in range(len(self.pile_sizes)))
-
-    def log2_potential(self, i: int) -> float:
-        return sum(math.log2(size) for size in self.pile_sizes[i])
 
     def to_json(self) -> dict:
         return {
@@ -189,6 +168,59 @@ def _ge(lhs, rhs) -> bool:
     return float(lhs) >= float(rhs) * (1.0 - GUARD)
 
 
+class _Side(_UnionFind):
+    """One side of the duality: the vertices of G, or its faces (the vertices of G*).
+
+    Members merge into classes named by their least member. ``ends[e]`` holds
+    the members at edge e's two ends (its endpoints, or the faces beside it),
+    ``k`` is the side's degree bound and ``label`` ("vertex" or "face") keys
+    its entries in violations. The exempt member's pile starts at its degree.
+    """
+
+    __slots__ = ("label", "k", "ends", "deg", "pile", "exempt", "floor")
+
+    def __init__(self, label: str, k: int, ends: dict, degrees: dict, exempt: int):
+        super().__init__(degrees)
+        self.label = label
+        self.k = k
+        self.ends = ends
+        self.deg = dict(degrees)
+        self.pile = dict.fromkeys(degrees, 1)
+        self.exempt = exempt
+        self.floor = self.pile[exempt] = degrees[exempt]
+
+    def classes(self, e: int) -> tuple[int, int]:
+        a, b = self.ends[e]
+        return self.find(a), self.find(b)
+
+    def exempt_pile(self) -> int:
+        return self.pile[self.find(self.exempt)]
+
+    def merge(self, a: int, b: int) -> tuple[int, int]:
+        """Merge classes ``a != b``; returns their pile sizes, smaller first."""
+        x, y = sorted((self.pile[a], self.pile[b]))
+        keep = self.union(a, b)
+        gone = b if keep == a else a
+        self.pile[keep] = x + y
+        self.deg[keep] = self.deg[a] + self.deg[b] - 2
+        del self.pile[gone], self.deg[gone]
+        return x, y
+
+    def lose(self, e: int) -> None:
+        """Take e's two ends off the degrees of the classes they sit on."""
+        for x in self.classes(e):
+            self.deg[x] -= 1
+
+    def overloaded(self, where: str) -> list[dict]:
+        """The classes that break ``deg <= k * pile``."""
+        return [
+            {"kind": "degree-pile-invariant", "where": where, self.label: x, "degree": d,
+             "pile": self.pile[x]}
+            for x, d in self.deg.items()
+            if d > self.k * self.pile[x]
+        ]
+
+
 def track_pebbles(
     trace: SampleTrace,
     g: EmbeddedMultiGraph,
@@ -203,9 +235,9 @@ def track_pebbles(
     ``(k1, k2)`` with exemptions ``v0`` (a vertex of ``g``) and ``f0`` (a face
     id of ``g.trace_faces()``); :func:`treescore.graphs.check_bounded` produces
     such a certificate. Face identity is tracked through the run with a
-    union-find over the initial faces: deleting an edge merges the two faces
-    beside it, contracting an edge removes it from its faces' boundaries but
-    keeps every face's identity, so no re-embedding is ever needed.
+    union-find over the initial faces, as vertex identity is with one over
+    the vertices: a step merges two classes on one side and lowers two
+    degrees on the other, so no re-embedding is ever needed.
 
     Checks recorded per step (violations list any failures):
 
@@ -237,53 +269,35 @@ def track_pebbles(
             f"graph is not ({k1},{k2})-degree-bounded for exempt vertex {v0} and "
             f"exempt face {f0}: first violation {unbounded[0]}"
         )
+    return _track(trace, g, dual, v0, f0, k1, k2)
 
-    verts = _UnionFind(g.vertices)
-    faces = _UnionFind(dual.faces.keys())
-    vdeg = {v: g.degree(v) for v in g.vertices}
-    fdeg = dict(dual.face_degree)
-    vpile = {v: 1 for v in g.vertices}
-    fpile = {f: 1 for f in dual.faces}
-    vpile[v0] = g.degree(v0)
-    fpile[f0] = dual.face_degree[f0]
-    initial_potential = vpile[v0] * fpile[f0]
-    edge_faces = dict(dual.dual_edges)
-    endpoints = {e: g.endpoints(e) for e in g.edge_ids}
+
+def _track(
+    trace: SampleTrace, g: EmbeddedMultiGraph, dual: DualGraph, v0: int, f0: int, k1: int, k2: int
+) -> PebbleHistory:
+    """The body of :func:`track_pebbles`, for checked inputs; ``dual`` is ``g.trace_faces()``."""
+    verts = _Side("vertex", k1, g.edges_dict(), {v: g.degree(v) for v in g.vertices}, v0)
+    faces = _Side("face", k2, dual.dual_edges, dual.face_degree, f0)
+    # One rule, the sides swapped: an action merges the two classes at e's
+    # ends on the first side and takes e's ends off the degrees of the second.
+    rules = {
+        "deleted": (faces, verts, "deletes edge {e}, but both of its sides are the same "
+                    "face (deleting it would disconnect)"),
+        "contracted": (verts, faces, "contracts edge {e}, but its endpoints already "
+                       "coincide (it is a self-loop)"),
+    }
     live_edges = set(g.edge_ids)
-
-    del_threshold = Fraction(1, 2 * k2)
-    con_threshold = Fraction(1, 2 * k1)
+    violations: list[dict] = []
+    steps: list[PebbleStep] = []
 
     def snapshot() -> tuple[int, ...]:
-        sizes = [s for s in vpile.values() if s > 1]
-        sizes.extend(s for s in fpile.values() if s > 1)
-        return tuple(sorted(sizes))
+        return tuple(sorted(s for side in (verts, faces) for s in side.pile.values() if s > 1))
 
-    def check_invariants(after: str, violations: list[dict]) -> None:
-        for f, d in fdeg.items():
-            if d > k2 * fpile[f]:
-                violations.append(
-                    {
-                        "kind": "degree-pile-invariant",
-                        "where": after,
-                        "face": f,
-                        "degree": d,
-                        "pile": fpile[f],
-                    }
-                )
-        for v, d in vdeg.items():
-            if d > k1 * vpile[v]:
-                violations.append(
-                    {
-                        "kind": "degree-pile-invariant",
-                        "where": after,
-                        "vertex": v,
-                        "degree": d,
-                        "pile": vpile[v],
-                    }
-                )
-        total_v = sum(vdeg.values())
-        total_f = sum(fdeg.values())
+    def check_invariants(after: str) -> None:
+        violations.extend(faces.overloaded(after))
+        violations.extend(verts.overloaded(after))
+        total_v = sum(verts.deg.values())
+        total_f = sum(faces.deg.values())
         if total_v != 2 * len(live_edges) or total_f != 2 * len(live_edges):
             raise PebbleError(
                 f"degree bookkeeping broke {after}: vertex degrees sum to "
@@ -291,87 +305,39 @@ def track_pebbles(
                 f"{2 * len(live_edges)}"
             )
 
-    violations: list[dict] = []
-    steps: list[PebbleStep] = []
-    snapshots: list[tuple[int, ...]] = [snapshot()]
-    check_invariants("initially", violations)
+    snapshots = [snapshot()]
+    check_invariants("initially")
 
     for s in trace.steps:
         e = s.edge
-        if e not in endpoints:
+        if e not in verts.ends:
             raise PebbleError(f"trace step {s.index} uses edge {e} not in the graph")
         if e not in live_edges:
             raise PebbleError(f"trace step {s.index} reuses edge {e}")
         live_edges.discard(e)
-        u, v = (verts.find(w) for w in endpoints[e])
-        fa, fb = (faces.find(f) for f in edge_faces[e])
-
-        if s.action == "deleted":
-            if fa == fb:
-                raise PebbleError(
-                    f"trace step {s.index} deletes edge {e}, but both of its "
-                    "sides are the same face (deleting it would disconnect)"
-                )
-            # Supporting bound: the run's probability of deleting e is at
-            # least 1/deg(f) for each face beside e, measured before the step.
-            for f in (fa, fb):
-                if not _ge(s.probability, Fraction(1, fdeg[f])):
-                    violations.append(
-                        {
-                            "kind": "degree-route",
-                            "step": s.index,
-                            "edge": e,
-                            "face": f,
-                            "degree": fdeg[f],
-                            "p": s.probability,
-                        }
-                    )
-            x, y = sorted((fpile[fa], fpile[fb]))
-            merged = faces.union(fa, fb)
-            gone = fb if merged == fa else fa
-            fpile[merged] = x + y
-            del fpile[gone]
-            fdeg[merged] = fdeg[fa] + fdeg[fb] - 2
-            del fdeg[gone]
-            if u == v:
-                vdeg[u] -= 2
-            else:
-                vdeg[u] -= 1
-                vdeg[v] -= 1
-            threshold = del_threshold
-        elif s.action == "contracted":
-            if u == v:
-                raise PebbleError(
-                    f"trace step {s.index} contracts edge {e}, but its "
-                    "endpoints already coincide (it is a self-loop)"
-                )
-            for w in (u, v):
-                if not _ge(s.probability, Fraction(1, vdeg[w])):
-                    violations.append(
-                        {
-                            "kind": "degree-route",
-                            "step": s.index,
-                            "edge": e,
-                            "vertex": w,
-                            "degree": vdeg[w],
-                            "p": s.probability,
-                        }
-                    )
-            x, y = sorted((vpile[u], vpile[v]))
-            merged = verts.union(u, v)
-            gone = v if merged == u else u
-            vpile[merged] = x + y
-            del vpile[gone]
-            vdeg[merged] = vdeg[u] + vdeg[v] - 2
-            del vdeg[gone]
-            if fa == fb:
-                fdeg[fa] -= 2
-            else:
-                fdeg[fa] -= 1
-                fdeg[fb] -= 1
-            threshold = con_threshold
-        else:
+        if s.action not in rules:
             raise PebbleError(f"trace step {s.index} has unknown action {s.action!r}")
+        side, other, refusal = rules[s.action]
+        a, b = side.classes(e)
+        if a == b:
+            raise PebbleError(f"trace step {s.index} " + refusal.format(e=e))
+        # Supporting bound: the run's probability of this action is at least
+        # 1/deg for each merged class, measured before the step.
+        for w in (a, b):
+            if not _ge(s.probability, Fraction(1, side.deg[w])):
+                violations.append(
+                    {
+                        "kind": "degree-route",
+                        "step": s.index,
+                        "edge": e,
+                        side.label: w,
+                        "degree": side.deg[w],
+                        "p": s.probability,
+                    }
+                )
+        x, y = side.merge(a, b)
+        other.lose(e)
+        threshold = Fraction(1, 2 * side.k)
 
         ratio = Fraction(x + y, x * y)  # P_i / P_{i-1}
         check_value = s.probability * Fraction(x * y, x + y)
@@ -401,19 +367,25 @@ def track_pebbles(
                 ok=ok,
             )
         )
-        check_invariants(f"after step {s.index}", violations)
-        if vpile[verts.find(v0)] < g.degree(v0) or fpile[faces.find(f0)] < dual.face_degree[f0]:
+        check_invariants(f"after step {s.index}")
+        if verts.exempt_pile() < verts.floor or faces.exempt_pile() < faces.floor:
             violations.append(
                 {
                     "kind": "potential-floor",
                     "step": s.index,
-                    "exempt-vertex-pile": vpile[verts.find(v0)],
-                    "exempt-face-pile": fpile[faces.find(f0)],
+                    "exempt-vertex-pile": verts.exempt_pile(),
+                    "exempt-face-pile": faces.exempt_pile(),
                 }
             )
         snapshots.append(snapshot())
 
-    history = PebbleHistory(
+    initial_potential = verts.floor * faces.floor
+    violations.extend(
+        {"kind": "potential-floor", "step": i, "potential": p, "initial": initial_potential}
+        for i, p in enumerate(map(math.prod, snapshots))
+        if p < initial_potential
+    )
+    return PebbleHistory(
         v0=v0,
         f0=f0,
         k1=k1,
@@ -427,20 +399,6 @@ def track_pebbles(
             f"{'*'.join(map(str, snapshots[-1])) or '1'}",
         ),
     )
-    floor = initial_potential
-    for i in range(len(history.pile_sizes)):
-        if history.potential(i) < floor:
-            violations.append(
-                {
-                    "kind": "potential-floor",
-                    "step": i,
-                    "potential": history.potential(i),
-                    "initial": floor,
-                }
-            )
-    if len(violations) != len(history.violations):
-        history = dataclasses.replace(history, violations=tuple(violations))
-    return history
 
 
 def attach_pebbles(
@@ -457,19 +415,24 @@ def attach_pebbles(
 
 def _statement_constants(
     k1: int, k2: int, deletions_only: bool
-) -> tuple[Fraction, Fraction | float, str]:
-    """(c1, c2, label) for the prefix-product bounds of the given run type."""
+) -> tuple[Fraction, Fraction | float, str, Fraction, int]:
+    """(c1, c2, label, base, root) for the prefix-product bounds of the given run type.
+
+    ``base`` is the rational ``c2 ** root``: an exact product is checked
+    against the upper bound as ``prod ** root <= base ** t``.
+    """
     if deletions_only:
         if k1 < 1 or k2 < 1:
             raise BoundsError("degree bounds must be positive")
-        return Fraction(1, 2 * k2), Fraction(k1 - 1, k1), "deletions-only"
+        c2 = Fraction(k1 - 1, k1)
+        return Fraction(1, 2 * k2), c2, "deletions-only", c2, 1
     hi, lo = max(k1, k2), min(k1, k2)
     if lo < 2:
         raise BoundsError(
             "prefix bounds for runs with contractions need min(k1, k2) >= 2"
         )
     c2 = (1.0 - 1.0 / hi) ** (1.0 / (2 * (lo - 1)))
-    return Fraction(1, 2 * hi), c2, "mixed"
+    return Fraction(1, 2 * hi), c2, "mixed", Fraction(hi - 1, hi), 2 * (lo - 1)
 
 
 def pointwise_outside(trace: SampleTrace, c1, c2) -> list[int]:
@@ -515,6 +478,13 @@ def check_prefix_products(
     Violations indicate bugs; notes record how many individual steps fall
     outside ``[c1, c2]`` pointwise, which is allowed.
     """
+    return _prefix_report(trace, k1, k2, run_type)[0]
+
+
+def _prefix_report(
+    trace: SampleTrace, k1: int, k2: int, run_type: str
+) -> tuple[BoundReport, list[int]]:
+    """:func:`check_prefix_products`' report, and the steps :func:`pointwise_outside` finds."""
     if run_type not in ("auto", "deletion", "mixed"):
         raise BoundsError(f"unknown run type {run_type!r}")
     has_contraction = any(s.action == "contracted" for s in trace.steps)
@@ -525,8 +495,7 @@ def check_prefix_products(
     deletions_only = run_type == "deletion" or (
         run_type == "auto" and not has_contraction
     )
-    c1, c2, label = _statement_constants(k1, k2, deletions_only)
-    lo = min(k1, k2)
+    c1, c2, label, base, root = _statement_constants(k1, k2, deletions_only)
 
     exact = all(isinstance(s.probability, Fraction) for s in trace.steps)
     violations: list[dict] = []
@@ -537,6 +506,7 @@ def check_prefix_products(
         log2_c2 = log2_fraction(c2) if c2 > 0 else -math.inf
     else:
         log2_c2 = math.log2(c2)
+    lower_t = upper_t = Fraction(1)  # c1**t and base**t
 
     prod_exact = Fraction(1)
     prod_log2 = 0.0
@@ -546,14 +516,10 @@ def check_prefix_products(
         if exact:
             prod_exact *= s.probability
             prod_log2 = log2_fraction(prod_exact)
-            lower_ok = prod_exact >= c1**t
-            if isinstance(c2, Fraction):
-                upper_ok = prod_exact <= c2**t
-            else:
-                # prod <= ((1-1/hi)^(1/(2(lo-1))))^t  <=>
-                # prod^(2(lo-1)) <= (1-1/hi)^t, both sides positive rationals.
-                hi = max(k1, k2)
-                upper_ok = prod_exact ** (2 * (lo - 1)) <= Fraction(hi - 1, hi) ** t
+            lower_t *= c1
+            upper_t *= base
+            lower_ok = prod_exact >= lower_t
+            upper_ok = prod_exact**root <= upper_t
         else:
             p = float(s.probability)
             if p <= 0.0:
@@ -604,7 +570,7 @@ def check_prefix_products(
     if t > 0:
         margins["lower-slack-log2"] = lower_slack
         margins["upper-slack-log2"] = upper_slack
-    return BoundReport(
+    report = BoundReport(
         claim="lemma32",
         instances_checked=t,
         applicable=t,
@@ -614,6 +580,7 @@ def check_prefix_products(
         c2=c2,
         notes=tuple(notes),
     )
+    return report, outside
 
 
 def verify_run_products(
@@ -635,7 +602,9 @@ def verify_run_products(
     trace and any of its violations are folded into the report.
 
     The graph must be ``(k1, k2)``-degree-bounded; its certificate supplies
-    the exemptions for the pile tracker. Raises
+    the exemptions for the pile tracker. The graph is certified, its faces
+    traced and its tree-count engine built once per report: every run edits a
+    copy of the engine and the tracker reads the same faces. Raises
     :class:`~treescore.bounds.BoundsError` if the certificate fails.
     """
     if runs < 1:
@@ -643,24 +612,25 @@ def verify_run_products(
     if mode not in ("deletion", "mixed"):
         raise BoundsError(f"unknown mode {mode!r}")
     cert = _require_bounded(g, k1, k2)
+    dual = g.trace_faces()
+    engine = graph_engine(g)
     reports = []
     pebble_failures: list[dict] = []
     outside_runs = 0
     forced_steps = 0
     for i in range(runs):
         if mode == "deletion":
-            trace = sample_deletion_run(g, seed=seed + i)
-            rep = check_prefix_products(trace, k1, k2, run_type="deletion")
+            trace = _deletion_run(g, Random(seed + i), engine)
         else:
-            trace = sample_tree_resistance(g, seed=seed + i)
-            rep = check_prefix_products(trace, k1, k2, run_type="mixed")
-        if pointwise_outside(trace, rep.c1, rep.c2):
+            trace = _resistance_run(g, Random(seed + i), engine=engine)
+        rep, outside = _prefix_report(trace, k1, k2, mode)  # the modes are run types
+        if outside:
             outside_runs += 1
         forced_steps += sum(1 for s in trace.steps if s.forced)
         # Per-run notes vary by seed (step counts, pointwise detail) and would
         # bloat the merged list; the aggregate notes below cover them.
         rep = dataclasses.replace(rep, notes=())
-        history = track_pebbles(trace, g, cert.v0, cert.f0, k1, k2)
+        history = _track(trace, g, dual, cert.v0, cert.f0, k1, k2)
         pebble_failures.extend({"run": i, **v} for v in history.violations)
         reports.append(rep)
     merged = merge_reports(*reports)

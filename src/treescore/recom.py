@@ -306,9 +306,8 @@ def _step(
             tree = sample_tree_resistance(sub, rng=rng).tree
         candidates = balance_edges(sub, tree, n, m, cfg.balance_tolerance)
         if candidates:
-            _, root_side = candidates[rng.randrange(len(candidates))]
-            other_side = merged - root_side
-            low_side = root_side if min(merged) in root_side else other_side
+            # balance_edges roots the tree at min(merged), so the root side is the low side.
+            _, low_side = candidates[rng.randrange(len(candidates))]
             high_side = merged - low_side
             assignment = p.as_dict()
             for v in low_side:

@@ -20,11 +20,13 @@ s = tau b^T M b is recovered by CRT over enough primes to exceed twice
 Hadamard's bound on tau and checked against a spare prime; tau is tracked as
 an exact integer, and a prime that divides the new tau is replaced by a
 rebuild. Many exact runs on one graph can share its engine
-(:func:`graph_engine`); each edits a copy. Above the threshold r is a float
-from a dense solve of the Laplacian grounded at one endpoint
-(``_linalg.unit_voltages``, shared with float flows). Both modes go through
-one step, ``_RunState.resistance``, which also decides the forced moves:
-self-loops, r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0 or 1.
+(:func:`graph_engine`); each edits a copy. The plans of an eq4 report and the
+runs of a lemma32 report share G's engine this way. Above the threshold r is
+a float from a dense solve of the Laplacian grounded at one endpoint
+(``_linalg.grounded_resistance``, shared with float resistances). Both modes
+go through one step, ``_RunState.resistance``, which also decides the forced
+moves: self-loops, r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0
+or 1.
 
 Every run is one loop, ``_run``, told by two callables which edge comes next
 and what to do with it. A sampled tree selects by ``EdgePolicy`` and flips
@@ -52,7 +54,7 @@ from fractions import Fraction
 from random import Random
 
 from ._adjugate import TreeCountEngine
-from ._linalg import unit_voltages
+from ._linalg import grounded_resistance
 from .graphs import EmbeddedMultiGraph
 from .spectral import DisconnectedGraphError
 
@@ -267,9 +269,7 @@ class _RunState:
         if self.exact:
             r = Fraction(self.trees_containing(u, v), self.trees)
             return r, ("contracted" if r == 1 else None)
-        kept = sorted(w for w in self.vertices if w != v)
-        iu = kept.index(u)
-        r = float(unit_voltages(kept, self.edges.values(), iu)[iu])
+        r = grounded_resistance(self.vertices, self.edges.values(), u, v)
         if r >= 1.0 - FLOAT_FORCED_TOL:
             return 1.0, "contracted"
         if r <= FLOAT_FORCED_TOL:
@@ -388,13 +388,21 @@ def sample_tree_resistance(
     (resistances within 1e-12 of 0 or 1 are then treated as forced and the
     step is flagged). The contracted edge set is the sampled tree.
     """
-    if rng is None:
-        rng = Random(seed)
+    return _resistance_run(g, Random(seed) if rng is None else rng, policy)
+
+
+def _resistance_run(
+    g: EmbeddedMultiGraph,
+    rng: Random,
+    policy: EdgePolicy | None = None,
+    engine: TreeCountEngine | None = None,
+) -> SampleTrace:
+    """The body of :func:`sample_tree_resistance`; ``engine`` is passed on to :func:`_run`."""
 
     def decide(e, r, forced):
         return forced or ("contracted" if _coin(rng, r) else "deleted")
 
-    return _run(g, _policy_select(policy or EdgePolicy.lowest_id()), decide)
+    return _run(g, _policy_select(policy or EdgePolicy.lowest_id()), decide, engine)
 
 
 def replay_decisions(
@@ -481,15 +489,20 @@ def sample_deletion_run(
     records p = 1 - r. The returned trace is a partial run: the remaining
     bridges are reported as the tree but were never processed.
     """
-    if rng is None:
-        rng = Random(seed)
+    return _deletion_run(g, Random(seed) if rng is None else rng)
+
+
+def _deletion_run(
+    g: EmbeddedMultiGraph, rng: Random, engine: TreeCountEngine | None = None
+) -> SampleTrace:
+    """The body of :func:`sample_deletion_run`; ``engine`` is passed on to :func:`_run`."""
 
     def select(state):
         bridges = find_bridges(state.edges, state.vertices)
         candidates = sorted(e for e in state.edges if e not in bridges)
         return candidates[rng.randrange(len(candidates))] if candidates else None
 
-    trace = _run(g, select, lambda e, r, forced: "deleted")
+    trace = _run(g, select, lambda e, r, forced: "deleted", engine)
     surviving = g.edges_dict()
     for e in trace.deleted():
         del surviving[e]

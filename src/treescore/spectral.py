@@ -21,8 +21,9 @@ are skipped and parallel edges add up.
 A unit flow from s to t is exact up to ``EXACT_FLOW_THRESHOLD`` vertices:
 its voltages are columns s and t of the grounded adjugate, read from one
 ``_adjugate.TreeCountEngine``, over the tree count. Above it they come from
-one float solve (``_linalg.unit_voltages``), the same one the sampler's float
-step makes.
+one float solve (``_linalg.unit_voltages``). A resistance needs no flow: up
+to the same threshold it is the exact tree ratio, above it one float solve
+(``_linalg.grounded_resistance``), the one the sampler's float step makes.
 """
 
 from __future__ import annotations
@@ -34,9 +35,15 @@ from fractions import Fraction
 import numpy as np
 
 from ._adjugate import TreeCountEngine
-from ._linalg import laplacian_minor_det, log2_int, reduced_laplacian, unit_voltages
+from ._linalg import (
+    grounded_resistance,
+    laplacian_minor_det,
+    log2_int,
+    reduced_laplacian,
+    unit_voltages,
+)
 from ._modular import minor_det
-from .graphs import EmbeddedMultiGraph
+from .graphs import EmbeddedMultiGraph, _UnionFind
 
 EXACT_COUNT_THRESHOLD = 2048
 EXACT_FLOW_THRESHOLD = 64
@@ -129,26 +136,15 @@ def enumerate_spanning_trees(g: EmbeddedMultiGraph) -> list[frozenset[int]]:
     """
     verts = g.vertices
     n = len(verts)
+    ends = g.edges_dict()
     non_loops = [e for e in g.edge_ids if not g.is_loop(e)]
     trees = []
     for combo in itertools.combinations(non_loops, n - 1):
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
+        sets = _UnionFind(verts)
         for e in combo:
-            u, v = g.endpoints(e)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
+            if sets.union(*ends[e]) is None:
                 break
-            parent[ru] = rv
-        if ok:
+        else:
             trees.append(frozenset(combo))
     return trees
 
@@ -219,24 +215,23 @@ def effective_resistance(
 ) -> ResistanceResult:
     """Effective resistance across edge e.
 
-    method: "tree-ratio" (exact), "laplacian-solve" (flow-based), or "auto"
-    (tree-ratio up to the exact-flow threshold, laplacian-solve beyond).
+    method: "tree-ratio" (exact), "laplacian-solve" (the tree-ratio value up
+    to the exact-flow threshold and for a self-loop, one float solve grounded
+    at an endpoint beyond), or "auto" (tree-ratio up to the exact-flow
+    threshold, laplacian-solve beyond).
     """
     if method == "auto":
         method = "tree-ratio" if g.num_vertices <= EXACT_FLOW_THRESHOLD else "laplacian-solve"
-    if method == "tree-ratio":
+    if method not in ("tree-ratio", "laplacian-solve"):
+        raise ValueError(f"unknown method {method!r}")
+    u, v = g.endpoints(e)
+    if method == "tree-ratio" or u == v or g.num_vertices <= EXACT_FLOW_THRESHOLD:
         r = resistance_fraction(g, e)
         return ResistanceResult(edge=e, exact=r, approx=float(r), method=method)
-    if method == "laplacian-solve":
-        u, v = g.endpoints(e)
-        if u == v:
-            return ResistanceResult(edge=e, exact=Fraction(0), approx=0.0, method=method)
-        fl = solve_flow(g, u, v)
-        r = fl.voltages[u] - fl.voltages[v]
-        if fl.exact:
-            return ResistanceResult(edge=e, exact=r, approx=float(r), method=method)
-        return ResistanceResult(edge=e, exact=None, approx=float(r), method=method)
-    raise ValueError(f"unknown method {method!r}")
+    if not g.is_connected():
+        raise DisconnectedGraphError("graph is not connected")
+    r = grounded_resistance(g.vertices, _endpoint_iter(g), u, v)
+    return ResistanceResult(edge=e, exact=None, approx=r, method=method)
 
 
 class InvalidCycleError(ValueError):

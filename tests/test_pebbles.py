@@ -6,6 +6,7 @@ value by value, and prefix products compared against the bound constants
 with exact fractions.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -257,3 +258,104 @@ def test_pebble_precondition_is_the_shared_bound_check():
                         refused.append(False)
                 refused_only_off_max += refused == [False, True]
     assert refused_only_off_max > 0
+
+
+def lowered(trace, k):
+    """``trace`` with step k's probability divided by 40, below what the bounds allow."""
+    s = trace.steps[k]
+    low = dataclasses.replace(s, probability=s.probability / 40)
+    return dataclasses.replace(trace, steps=trace.steps[:k] + (low,) + trace.steps[k + 1:])
+
+
+def test_tracker_reports_a_lowered_deletion(diamond):
+    trace = lowered(sample_deletion_run(diamond, seed=0), 0)
+    hist = track_pebbles(trace, diamond, 0, 1, 4, 4)
+    assert hist.to_json() == {
+        "v0": 0,
+        "f0": 1,
+        "k1": 4,
+        "k2": 4,
+        "initial-potential": "12",
+        "final-potential": "18",
+        "holds": False,
+        "steps": [
+            {"i": 1, "edge": 3, "action": "deleted", "pile-x": 1, "pile-y": 4,
+             "check-value": "3/400", "threshold": "1/8", "ok": False},
+            {"i": 2, "edge": 2, "action": "deleted", "pile-x": 1, "pile-y": 5,
+             "check-value": "5/18", "threshold": "1/8", "ok": True},
+        ],
+        "pile-sizes": [[3, 4], [3, 5], [3, 6]],
+        "violations": [
+            {"kind": "degree-route", "step": 1, "edge": 3, "face": 0, "degree": 3,
+             "p": Fraction(3, 320)},
+            {"kind": "degree-route", "step": 1, "edge": 3, "face": 1, "degree": 4,
+             "p": Fraction(3, 320)},
+            {"kind": "potential-step", "step": 1, "edge": 3, "action": "deleted",
+             "check-value": Fraction(3, 400), "threshold": Fraction(1, 8)},
+        ],
+        "notes": ["2 steps tracked, potential 12 -> 3*6"],
+    }
+
+
+def test_tracker_reports_a_lowered_contraction(diamond):
+    trace = lowered(sample_tree_resistance(diamond, seed=1), 0)
+    hist = track_pebbles(trace, diamond, 0, 1, 4, 4)
+    assert hist.to_json() == {
+        "v0": 0,
+        "f0": 1,
+        "k1": 4,
+        "k2": 4,
+        "initial-potential": "12",
+        "final-potential": "36",
+        "holds": False,
+        "steps": [
+            {"i": 1, "edge": 0, "action": "contracted", "pile-x": 1, "pile-y": 3,
+             "check-value": "3/256", "threshold": "1/8", "ok": False},
+            {"i": 2, "edge": 1, "action": "deleted", "pile-x": 1, "pile-y": 1,
+             "check-value": "3/10", "threshold": "1/8", "ok": True},
+            {"i": 3, "edge": 2, "action": "deleted", "pile-x": 2, "pile-y": 4,
+             "check-value": "4/9", "threshold": "1/8", "ok": True},
+            {"i": 4, "edge": 3, "action": "contracted", "pile-x": 1, "pile-y": 4,
+             "check-value": "4/5", "threshold": "1/8", "ok": True},
+            {"i": 5, "edge": 4, "action": "contracted", "pile-x": 1, "pile-y": 5,
+             "check-value": "5/6", "threshold": "1/8", "ok": True},
+        ],
+        "pile-sizes": [[3, 4], [4, 4], [2, 4, 4], [4, 6], [5, 6], [6, 6]],
+        "violations": [
+            {"kind": "degree-route", "step": 1, "edge": 0, "vertex": 0, "degree": 3,
+             "p": Fraction(1, 64)},
+            {"kind": "degree-route", "step": 1, "edge": 0, "vertex": 1, "degree": 2,
+             "p": Fraction(1, 64)},
+            {"kind": "potential-step", "step": 1, "edge": 0, "action": "contracted",
+             "check-value": Fraction(3, 256), "threshold": Fraction(1, 8)},
+        ],
+        "notes": ["5 steps tracked, potential 12 -> 6*6"],
+    }
+
+
+def test_run_products_trace_faces_and_build_the_engine_once(monkeypatch):
+    from treescore._adjugate import TreeCountEngine
+    from treescore.graphs import EmbeddedMultiGraph
+
+    g = make_grid(4, 4)
+    traced, built = [], []
+    real_faces, real_build = EmbeddedMultiGraph.trace_faces, TreeCountEngine._build_with
+
+    def trace_faces(self):
+        traced.append(self.num_vertices)
+        return real_faces(self)
+
+    def build(engine, primes):
+        built.append(frozenset(engine._vertices))
+        return real_build(engine, primes)
+
+    monkeypatch.setattr(EmbeddedMultiGraph, "trace_faces", trace_faces)
+    monkeypatch.setattr(TreeCountEngine, "_build_with", build)
+    for mode in ("deletion", "mixed"):
+        traced.clear()
+        built.clear()
+        report = verify_run_products(g, 4, 4, runs=6, mode=mode, seed=0)
+        assert report.holds and report.instances_checked > 0
+        # once for the certificate, once for the pile tracker
+        assert len(traced) <= 2
+        assert built == [frozenset(g.vertices)]

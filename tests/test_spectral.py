@@ -133,7 +133,13 @@ def test_resistance_methods_agree():
             exact = effective_resistance(g, e, method="tree-ratio")
             approx = effective_resistance(g, e, method="laplacian-solve")
             assert exact.exact == resistance_fraction(g, e)
+            assert approx.exact == exact.exact
             assert abs(float(exact.exact) - approx.approx) < 1e-9
+    g = make_grid(9, 9)  # above the exact-flow threshold: one float solve
+    for e in (0, 40, 100):
+        approx = effective_resistance(g, e, method="laplacian-solve")
+        assert approx.exact is None
+        assert abs(float(resistance_fraction(g, e)) - approx.approx) < 1e-9
 
 
 def test_resistance_known_values(diamond):
