@@ -24,7 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 _WORD_PRIME_LIMIT = 1 << 31
+# Largest n (b+1)^2 k eliminated: a 45x45 grid is 5.6e8 (8 s), a 400-spoke wheel 1.4e9 (15 s).
+MAX_MINOR_WORK = 10**9
 _word_primes: list[int] = []  # largest primes below 2**31, descending; grown on demand
+
+
+class MinorTooLargeError(ValueError):
+    """A minor whose banded elimination would exceed ``MAX_MINOR_WORK``."""
 
 
 def _is_prime(n: int) -> bool:
@@ -189,13 +195,14 @@ def _levels(root: int, adj: dict[int, set[int]]) -> list[list[int]]:
         levels.append(nxt)
 
 
-def _banded_minor(kept: list[int], edges: list[tuple[int, int]]):
+def _banded_minor(kept: list[int], edges: list[tuple[int, int]], k: int):
     """Rows of the grounded Laplacian in RCM order, as ``(low, n, b)``; None if it is singular.
 
     ``low[r, t]`` is entry ``(r, r - b + t)``, so column ``b`` is the diagonal.
     Rows ``n .. n + b - 1`` pad the matrix with an identity block. The minor
     is singular exactly when some component of the kept vertices has no edge
-    to a grounded vertex.
+    to a grounded vertex. Raises :class:`MinorTooLargeError` before any row
+    is built when ``n (b+1)^2 k`` exceeds ``MAX_MINOR_WORK``.
     """
     keep = set(kept)
     adj: dict[int, set[int]] = {v: set() for v in kept}
@@ -218,6 +225,11 @@ def _banded_minor(kept: list[int], edges: list[tuple[int, int]]):
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
     b = max((abs(pos[u] - pos[v]) for u in kept for v in adj[u]), default=0)
+    if n * (b + 1) ** 2 * k > MAX_MINOR_WORK:
+        raise MinorTooLargeError(
+            f"exact minor of {n} rows with bandwidth {b} over {k} primes needs about "
+            f"{n * (b + 1) ** 2 * k:.2e} word operations, above the limit {MAX_MINOR_WORK:.0e}"
+        )
     rows = [[0] * (b + 1) for _ in range(n)] + [[0] * b + [1] for _ in range(b)]
     for u, v in edges:
         if u == v:
@@ -296,17 +308,18 @@ def minor_det(vertices, endpoints, excluded, primes=None) -> int:
     The same value as ``_linalg.laplacian_minor_det`` (parallel edges repeat,
     self-loops are ignored), by banded elimination modulo word primes and
     CRT. ``primes`` is the pool moduli are drawn from, in order; it defaults
-    to the largest primes below 2**31.
+    to the largest primes below 2**31. Raises :class:`MinorTooLargeError`
+    when the elimination would exceed ``MAX_MINOR_WORK``.
     """
     kept = [v for v in vertices if v not in excluded]
     if not kept:
         return 1
     edges = list(endpoints)
-    banded = _banded_minor(kept, edges)
+    bound = hadamard_bound(kept, edges, ())
+    banded = _banded_minor(kept, edges, len(choose_primes(bound, primes)))
     if banded is None:
         return 0
     low, n, b = banded
-    bound = hadamard_bound(kept, edges, ())
     skip: set[int] = set()
     while True:
         chosen = choose_primes(bound, primes, skip)

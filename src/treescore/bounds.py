@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from ._adjugate import TreeCountEngine
 from ._linalg import log2_fraction
 from .graphs import EmbeddedMultiGraph, _UnionFind, check_bounded
 from .partition import (
@@ -33,7 +32,7 @@ from .partition import (
     spanning_tree_score,
     validate_partition,
 )
-from .sampler import graph_engine, run_constrained_deletions
+from .sampler import run_constrained_deletions
 from . import spectral
 from .spectral import count_spanning_trees
 
@@ -255,7 +254,7 @@ def verify_score_ratio(
     _require_bounded(g, k1, k2)
     c1, c2 = _constants(k1, k2)
     trees = int(count_spanning_trees(g))
-    return _score_ratio_report(g, p, spanning_tree_score(g, p), c1, c2, trees, None)
+    return _score_ratio_report(g, p, spanning_tree_score(g, p), c1, c2, trees)
 
 
 def _score_ratio_report(
@@ -265,18 +264,14 @@ def _score_ratio_report(
     c1: Fraction,
     c2: Fraction,
     trees: int,
-    engine: TreeCountEngine | None,
 ) -> BoundReport:
-    """The body of :func:`verify_score_ratio` for a valid ``p`` and a certified ``g``.
-
-    ``engine`` is ``g``'s, from :func:`~treescore.sampler.graph_engine`, or None.
-    """
+    """The body of :func:`verify_score_ratio` for a valid ``p`` and a certified ``g``."""
     cut = cut_edges(g, p)
     b = cut.size
     expo = b - p.m + 1
     violations: list = []
     deletable, retained = _deletion_set(g, p, cut.edges)
-    prob, remaining = run_constrained_deletions(g, deletable, engine)
+    prob, remaining = run_constrained_deletions(g, deletable)
 
     ratio = Fraction(score, trees)
     lower = c1**expo
@@ -337,16 +332,14 @@ def verify_score_ratios(
     """verify_score_ratio over every balanced connected m-partition.
 
     The graph is certified once, and the plans, their scores and trees(G)
-    come from :func:`~treescore.partition.spanning_tree_distribution`. G's
-    tree-count engine is built once, and every plan's deletion run edits a
-    copy of it.
+    come from :func:`~treescore.partition.spanning_tree_distribution`. Every
+    plan's deletion run edits a copy of G's one tree-count engine.
     """
     _require_bounded(g, k1, k2)
     table = spanning_tree_distribution(g, m, max_vertices=max_vertices)
     c1, c2 = _constants(k1, k2)
-    engine = graph_engine(g)
     reports = [
-        _score_ratio_report(g, e.partition, e.score, c1, c2, table.graph_trees, engine)
+        _score_ratio_report(g, e.partition, e.score, c1, c2, table.graph_trees)
         for e in table.entries
     ]
     return replace(

@@ -9,6 +9,8 @@ as floats: JSON numbers lose precision above 2**53 and these outputs are
 meant to be reproducible bit for bit. Stochastic subcommands require an
 explicit ``--seed`` for the same reason. Values that are floats to begin
 with, such as the sampler's above its exact threshold, stay JSON numbers.
+A count with no exact value (``count-trees`` above the exact threshold) is
+``null``, next to its float ``log2``.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _cmd_make_grid(args) -> int:
 def _cmd_count_trees(args) -> int:
     g = load_graph(args.graph)  # refuses an empty or disconnected graph
     tc = _count(g)
-    payload = {"spanning_trees": str(tc.value), "exact": tc.exact}
+    payload = {"spanning_trees": str(tc.value) if tc.exact else None, "exact": tc.exact}
     if not tc.exact:
         payload["log2"] = tc.log2
     _emit_json(payload, args.output)
@@ -191,7 +193,7 @@ def _cmd_recom(args) -> int:
     p0 = load_partition(args.partition)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = ChainConfig.from_json(json.load(fh))
+            cfg = ChainConfig.from_json_str(fh.read())
     else:
         if args.steps is None or args.seed is None:
             raise UsageError("recom needs --config or both --steps and --seed")

@@ -10,6 +10,7 @@ deletion and contraction can preserve the embedding combinatorially.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ class EmbeddedMultiGraph:
     after construction.
     """
 
-    __slots__ = ("_edges", "_rotation", "labels")
+    __slots__ = ("_edges", "_rotation", "labels", "_memo")
 
     def __init__(
         self,
@@ -40,6 +41,7 @@ class EmbeddedMultiGraph:
         self._edges = {int(e): (int(u), int(v)) for e, (u, v) in edges.items()}
         self._rotation = {int(v): [(int(e), int(s)) for e, s in rot] for v, rot in rotation.items()}
         self.labels = dict(labels) if labels else {}
+        self._memo: dict = {}
         if validate:
             self._check_structure()
 
@@ -225,6 +227,23 @@ class EmbeddedMultiGraph:
             face_degree=face_degree,
             euler=euler,
         )
+
+
+def _memoised(build):
+    """Decorator: ``build(g)`` runs once per graph, and later calls return its result.
+
+    The result is kept in ``g``'s memo, which every new graph starts empty;
+    callers must treat it as read-only. A build that raises stores nothing.
+    """
+
+    @functools.wraps(build)
+    def view(g: EmbeddedMultiGraph):
+        memo = g._memo
+        if build not in memo:
+            memo[build] = build(g)
+        return memo[build]
+
+    return view
 
 
 class _UnionFind:
@@ -431,11 +450,11 @@ def graph_from_json(obj: dict, require_connected: bool = True) -> EmbeddedMultiG
         rotation = {
             int(v): [(int(e), int(s)) for e, s in rot] for v, rot in obj["rotation"].items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+        labels = {int(v): str(s) for v, s in obj.get("labels", {}).items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidGraphError(f"malformed graph object: {exc}") from exc
     if sorted(rotation) != sorted(set(vertices)):
         raise InvalidGraphError("rotation keys do not match the vertex list")
-    labels = {int(v): str(s) for v, s in obj.get("labels", {}).items()}
     g = EmbeddedMultiGraph(edges, rotation, labels, validate=True)
     if require_connected and not g.is_connected():
         raise InvalidGraphError("graph is not connected")

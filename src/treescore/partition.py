@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import EmbeddedMultiGraph, InvalidGraphError, induced_subgraph
+from .graphs import EmbeddedMultiGraph, InvalidGraphError, _memoised, induced_subgraph
 from .spectral import _count, count_spanning_trees
 
 ENUMERATION_VERTEX_CAP = 20
@@ -102,11 +102,7 @@ def check_tolerant_partition(
     ``|V|/m`` (compared exactly: ``|size*m - |V|| <= tolerance*m``). With
     tolerance 0 this is exact balance.
     """
-    return _partition_problems(_adjacency(g), p, tolerance)
-
-
-def _partition_problems(adj: dict[int, set[int]], p: Partition, tolerance: int) -> list[str]:
-    """The body of :func:`check_tolerant_partition`, given the graph's ``_adjacency``."""
+    adj = _adjacency(g)
     problems: list[str] = []
     n = len(adj)
     assigned = {v for v, _ in p.assignment}
@@ -192,7 +188,9 @@ def quotient_graph(g: EmbeddedMultiGraph, p: Partition) -> EmbeddedMultiGraph:
     return q
 
 
+@_memoised
 def _adjacency(g: EmbeddedMultiGraph) -> dict[int, set[int]]:
+    """Each vertex's neighbour set, built once per graph."""
     return {v: g.neighbors(v) for v in g.vertices}
 
 

@@ -61,7 +61,7 @@ from .graphs import (
     _UnionFind,
     bound_violations,
 )
-from .sampler import SampleTrace, _deletion_run, _num, _resistance_run, graph_engine
+from .sampler import SampleTrace, _num, sample_deletion_run, sample_tree_resistance
 
 __all__ = [
     "PebbleError",
@@ -602,9 +602,8 @@ def verify_run_products(
     trace and any of its violations are folded into the report.
 
     The graph must be ``(k1, k2)``-degree-bounded; its certificate supplies
-    the exemptions for the pile tracker. The graph is certified, its faces
-    traced and its tree-count engine built once per report: every run edits a
-    copy of the engine and the tracker reads the same faces. Raises
+    the exemptions for the pile tracker. The graph is certified and its faces
+    traced once per report; every run edits a copy of its one engine. Raises
     :class:`~treescore.bounds.BoundsError` if the certificate fails.
     """
     if runs < 1:
@@ -613,16 +612,13 @@ def verify_run_products(
         raise BoundsError(f"unknown mode {mode!r}")
     cert = _require_bounded(g, k1, k2)
     dual = g.trace_faces()
-    engine = graph_engine(g)
+    sample = sample_deletion_run if mode == "deletion" else sample_tree_resistance
     reports = []
     pebble_failures: list[dict] = []
     outside_runs = 0
     forced_steps = 0
     for i in range(runs):
-        if mode == "deletion":
-            trace = _deletion_run(g, Random(seed + i), engine)
-        else:
-            trace = _resistance_run(g, Random(seed + i), engine=engine)
+        trace = sample(g, rng=Random(seed + i))
         rep, outside = _prefix_report(trace, k1, k2, mode)  # the modes are run types
         if outside:
             outside_runs += 1

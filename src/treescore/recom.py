@@ -29,8 +29,6 @@ from .graphs import EmbeddedMultiGraph, induced_subgraph
 from .partition import (
     Partition,
     PartitionError,
-    _adjacency,
-    _partition_problems,
     _sizes_within,
     check_tolerant_partition,
     cut_edges,
@@ -114,13 +112,16 @@ class ChainConfig:
         unknown = sorted(set(obj) - known)
         if unknown:
             raise RecomError(f"unknown config fields: {', '.join(unknown)}")
-        return cls(
-            steps=int(pick("steps", None)),
-            seed=int(pick("seed", None)),
-            balance_tolerance=int(pick("balance-tolerance", 0)),
-            max_resample=int(pick("max-resample", 64)),
-            tree_sampler=str(pick("tree-sampler", "wilson")),
-        )
+        try:
+            return cls(
+                steps=int(pick("steps", None)),
+                seed=int(pick("seed", None)),
+                balance_tolerance=int(pick("balance-tolerance", 0)),
+                max_resample=int(pick("max-resample", 64)),
+                tree_sampler=str(pick("tree-sampler", "wilson")),
+            )
+        except TypeError as exc:
+            raise RecomError(f"malformed config field: {exc}") from exc
 
     @classmethod
     def from_json_str(cls, text: str) -> "ChainConfig":
@@ -273,12 +274,12 @@ def recom_step(
     After a successful split, the side containing the merged region's smallest
     vertex keeps the smaller of the two district labels.
     """
-    _require_valid(_adjacency(g), p, cfg)
+    _require_valid(g, p, cfg)
     return _step(g, p, rng, cfg)
 
 
-def _require_valid(adj: dict[int, set[int]], p: Partition, cfg: ChainConfig) -> None:
-    problems = _partition_problems(adj, p, cfg.balance_tolerance)
+def _require_valid(g: EmbeddedMultiGraph, p: Partition, cfg: ChainConfig) -> None:
+    problems = check_tolerant_partition(g, p, cfg.balance_tolerance)
     if problems:
         raise PartitionError("; ".join(problems))
 
@@ -298,7 +299,7 @@ def _step(
     sub = induced_subgraph(g, merged)
     n, m = g.num_vertices, p.m
     if cfg.tree_sampler == "wilson":
-        incident = _walk_incidence(sub)  # built once, reused by every resample
+        incident = _walk_incidence(sub)  # unchecked: sub joins two connected districts
     for attempt in range(1, cfg.max_resample + 1):
         if cfg.tree_sampler == "wilson":
             tree = _wilson_walk(incident, rng)
@@ -332,11 +333,9 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
     checked). An invalid start raises
     :class:`~treescore.partition.PartitionError`; an invalid split raises
     :class:`RecomError`, since it would mean the step construction is broken.
-    The graph's adjacency is built once for all these checks, and each cut
-    size is the previous one updated over the merged region's edges.
+    Each cut size is the previous one updated over the merged region's edges.
     """
-    adj = _adjacency(g)
-    _require_valid(adj, p0, cfg)
+    _require_valid(g, p0, cfg)
     ends = _edge_ends(g)
     rng = random.Random(cfg.seed)
     p = p0
@@ -350,7 +349,7 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
         if result.skipped:
             skipped += 1
         else:
-            problems = _partition_problems(adj, p, cfg.balance_tolerance)
+            problems = check_tolerant_partition(g, p, cfg.balance_tolerance)
             if problems:
                 raise RecomError(
                     f"step {step} produced an invalid partition: "

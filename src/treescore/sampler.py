@@ -10,23 +10,23 @@ of spanning trees consistent with its decisions.
 
 Exact mode (graphs up to ``EXACT_SAMPLER_THRESHOLD`` vertices) reports r as
 the ``Fraction`` s / tau, where tau counts the spanning trees of the current
-multigraph and s those containing the edge. Both come from one
-``TreeCountEngine`` per run (``_adjugate``): it keeps the inverse M of the
-grounded Laplacian as residues modulo word-size primes and updates it by a
-rank-one step ``M + g w w^T`` per deletion or contraction, with g = tau/(tau-s)
-or -tau/s per prime: O(n^2) word operations instead of a big-integer
+multigraph and s those containing the edge. Both come from a
+``TreeCountEngine`` (``_adjugate``): it keeps the inverse M of the grounded
+Laplacian as residues modulo word-size primes and updates it by a rank-one
+step ``M + g w w^T`` per deletion or contraction, with g = tau/(tau-s) or
+-tau/s per prime: O(n^2) word operations instead of a big-integer
 determinant per edge, and a ``%`` pass over M only once every four updates.
 s = tau b^T M b is recovered by CRT over enough primes to exceed twice
 Hadamard's bound on tau and checked against a spare prime; tau is tracked as
 an exact integer, and a prime that divides the new tau is replaced by a
-rebuild. Many exact runs on one graph can share its engine
-(:func:`graph_engine`); each edits a copy. The plans of an eq4 report and the
-runs of a lemma32 report share G's engine this way. Above the threshold r is
-a float from a dense solve of the Laplacian grounded at one endpoint
-(``_linalg.grounded_resistance``, shared with float resistances). Both modes
-go through one step, ``_RunState.resistance``, which also decides the forced
-moves: self-loops, r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0
-or 1.
+rebuild. Each graph has one engine, built on first use and kept with the
+graph (:func:`graph_engine`), and every exact run on it edits a copy: the
+runs of a lemma32 report and the plans of an eq4 report share G's engine.
+Above the threshold r is a float from a dense solve of the Laplacian
+grounded at one endpoint (``_linalg.grounded_resistance``, shared with float
+resistances). Both modes go through one step, ``_RunState.resistance``,
+which also decides the forced moves: self-loops, r = 1, and float values
+within ``FLOAT_FORCED_TOL`` of 0 or 1.
 
 Every run is one loop, ``_run``, told by two callables which edge comes next
 and what to do with it. A sampled tree selects by ``EdgePolicy`` and flips
@@ -55,7 +55,7 @@ from random import Random
 
 from ._adjugate import TreeCountEngine
 from ._linalg import grounded_resistance
-from .graphs import EmbeddedMultiGraph
+from .graphs import EmbeddedMultiGraph, _memoised
 from .spectral import DisconnectedGraphError
 
 EXACT_SAMPLER_THRESHOLD = 64
@@ -214,27 +214,19 @@ def find_bridges(edges: dict[int, tuple[int, int]], vertices) -> set[int]:
 class _RunState:
     """Mutable multigraph view used inside a run (original edge ids kept).
 
-    In exact mode the tree counts come from a ``TreeCountEngine`` built on
-    first use, or copied from ``engine`` (one already built for ``g``, which
-    vouches that ``g`` is connected), and updated by every later contraction
-    and deletion.
+    In exact mode the tree counts come from a copy of ``g``'s engine
+    (:func:`graph_engine`), updated by every contraction and deletion.
     """
 
     __slots__ = ("edges", "vertices", "exact", "_incident", "_engine")
 
-    def __init__(self, g: EmbeddedMultiGraph, exact: bool, engine: TreeCountEngine | None = None):
-        if engine is None and not g.is_connected():
-            raise DisconnectedGraphError("graph is not connected")
+    def __init__(self, g: EmbeddedMultiGraph, exact: bool):
+        engine = graph_engine(g)  # raises unless g is connected
         self.edges: dict[int, tuple[int, int]] = g.edges_dict()
         self.vertices: set[int] = set(g.vertices)
         self.exact = exact
         self._incident: dict[int, set[int]] | None = None
-        self._engine = None if engine is None else engine.copy(self.vertices, self.edges)
-
-    def _tree_counts(self) -> TreeCountEngine:
-        if self._engine is None:
-            self._engine = TreeCountEngine(self.vertices, self.edges)
-        return self._engine
+        self._engine = engine.copy(self.vertices, self.edges) if exact else None
 
     def _incidence(self) -> dict[int, set[int]]:
         """Edge ids at each vertex, so a contraction renames O(degree) edges.
@@ -251,10 +243,10 @@ class _RunState:
 
     @property
     def trees(self) -> int | None:
-        return self._tree_counts().tau if self.exact else None
+        return self._engine.tau if self.exact else None
 
     def trees_containing(self, u: int, v: int) -> int:
-        return self._tree_counts().trees_containing(u, v)
+        return self._engine.trees_containing(u, v)
 
     def resistance(self, u: int, v: int) -> tuple[Fraction | float, str | None]:
         """Effective resistance of an edge u-v, and the action it forces, if any.
@@ -307,18 +299,15 @@ def _run(
     g: EmbeddedMultiGraph,
     select: Callable[[_RunState], int | None],
     decide: Callable[[int, Fraction | float, str | None], str],
-    engine: TreeCountEngine | None = None,
 ) -> SampleTrace:
     """Algorithm 1 on ``g``: the one loop that processes edges by resistance.
 
     ``select(state)`` names the next surviving edge, or None to stop.
     ``decide(e, r, forced)`` returns the action for edge e, "contracted" or
     "deleted", from its resistance r and the action r forces (None if none).
-    The run is exact up to ``EXACT_SAMPLER_THRESHOLD`` vertices; an exact run
-    given ``engine`` (``g``'s, from :func:`graph_engine`) edits a copy of it.
+    The run is exact up to ``EXACT_SAMPLER_THRESHOLD`` vertices.
     """
-    exact = g.num_vertices <= EXACT_SAMPLER_THRESHOLD
-    state = _RunState(g, exact, engine if exact else None)
+    state = _RunState(g, g.num_vertices <= EXACT_SAMPLER_THRESHOLD)
     initial = state.trees
     steps: list[TraceStep] = []
     tree: list[int] = []
@@ -347,7 +336,7 @@ def _run(
         tree=frozenset(tree),
         complete=len(state.vertices) < 2,
         initial_trees=initial,
-        exact=exact,
+        exact=state.exact,
     )
 
 
@@ -388,21 +377,13 @@ def sample_tree_resistance(
     (resistances within 1e-12 of 0 or 1 are then treated as forced and the
     step is flagged). The contracted edge set is the sampled tree.
     """
-    return _resistance_run(g, Random(seed) if rng is None else rng, policy)
-
-
-def _resistance_run(
-    g: EmbeddedMultiGraph,
-    rng: Random,
-    policy: EdgePolicy | None = None,
-    engine: TreeCountEngine | None = None,
-) -> SampleTrace:
-    """The body of :func:`sample_tree_resistance`; ``engine`` is passed on to :func:`_run`."""
+    if rng is None:
+        rng = Random(seed)
 
     def decide(e, r, forced):
         return forced or ("contracted" if _coin(rng, r) else "deleted")
 
-    return _run(g, _policy_select(policy or EdgePolicy.lowest_id()), decide, engine)
+    return _run(g, _policy_select(policy or EdgePolicy.lowest_id()), decide)
 
 
 def replay_decisions(
@@ -410,14 +391,11 @@ def replay_decisions(
     decisions: dict[int, str],
     policy: EdgePolicy | None = None,
     stop_when_decided: bool = False,
-    engine: TreeCountEngine | None = None,
 ) -> SampleTrace:
     """Deterministically replay a run whose non-forced decisions are given.
 
     Forced moves (self-loops, bridges) resolve themselves; a decision that
     contradicts a forced move describes a probability-zero path and raises.
-    ``engine``, from :func:`graph_engine` on ``g``, saves an exact run its
-    own build: the run edits a copy of it.
     """
     for a in decisions.values():
         if a not in ("contracted", "deleted"):
@@ -439,18 +417,17 @@ def replay_decisions(
         pending.discard(e)
         return action
 
-    return _run(g, select, decide, engine)
+    return _run(g, select, decide)
 
 
 def run_constrained_deletions(
-    g: EmbeddedMultiGraph, delete_edges, engine: TreeCountEngine | None = None
+    g: EmbeddedMultiGraph, delete_edges
 ) -> tuple[Fraction, EmbeddedMultiGraph]:
     """Delete the given edges in order, multiplying out (1 - r) at each step.
 
     The product is the probability that a uniform spanning tree avoids the
     whole set. Raises if a deletion would disconnect the graph. Returns the
-    probability and the remaining embedded graph. ``engine`` is passed on to
-    :func:`replay_decisions`.
+    probability and the remaining embedded graph.
     """
     order = list(delete_edges)
     if len(set(order)) != len(order):
@@ -461,16 +438,19 @@ def run_constrained_deletions(
             raise SamplerError(f"no edge {e}")
     decisions = {e: "deleted" for e in order}
     trace = replay_decisions(
-        g, decisions, policy=EdgePolicy.given_order(order), stop_when_decided=True, engine=engine
+        g, decisions, policy=EdgePolicy.given_order(order), stop_when_decided=True
     )
     return trace.p_product(), g.delete_edge(order)
 
 
+@_memoised
 def graph_engine(g: EmbeddedMultiGraph) -> TreeCountEngine | None:
-    """``g``'s tree-count engine, for many exact runs on ``g``; None where runs are not exact.
+    """``g``'s tree-count engine, or None where runs on ``g`` are not exact.
 
-    Raises :class:`DisconnectedGraphError` unless ``g`` is connected: runs
-    given the engine do not check again.
+    Built on the first call for ``g`` and kept with it: every later call
+    returns the same engine, which no caller edits (each exact run edits a
+    copy). Raises :class:`DisconnectedGraphError` unless ``g`` is connected,
+    so runs do not check again.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("graph is not connected")
@@ -489,20 +469,15 @@ def sample_deletion_run(
     records p = 1 - r. The returned trace is a partial run: the remaining
     bridges are reported as the tree but were never processed.
     """
-    return _deletion_run(g, Random(seed) if rng is None else rng)
-
-
-def _deletion_run(
-    g: EmbeddedMultiGraph, rng: Random, engine: TreeCountEngine | None = None
-) -> SampleTrace:
-    """The body of :func:`sample_deletion_run`; ``engine`` is passed on to :func:`_run`."""
+    if rng is None:
+        rng = Random(seed)
 
     def select(state):
         bridges = find_bridges(state.edges, state.vertices)
         candidates = sorted(e for e in state.edges if e not in bridges)
         return candidates[rng.randrange(len(candidates))] if candidates else None
 
-    trace = _run(g, select, lambda e, r, forced: "deleted", engine)
+    trace = _run(g, select, lambda e, r, forced: "deleted")
     surviving = g.edges_dict()
     for e in trace.deleted():
         del surviving[e]
@@ -516,11 +491,20 @@ def sample_tree_wilson(
 
     Self-loops are skipped (they are in no tree and only delay the walk);
     parallel edges are distinct walk choices, so trees that use different
-    copies are distinct outcomes.
+    copies are distinct outcomes. The walk incidence is built on the first
+    call for ``g`` and kept with it.
     """
     if rng is None:
         rng = Random(seed)
-    return _wilson_walk(_walk_incidence(g), rng)
+    return _wilson_walk(_connected_walk_incidence(g), rng)
+
+
+@_memoised
+def _connected_walk_incidence(g: EmbeddedMultiGraph):
+    """:func:`_walk_incidence` of a connected ``g``, built once per graph."""
+    if not g.is_connected():
+        raise DisconnectedGraphError("graph is not connected")
+    return _walk_incidence(g)
 
 
 def _walk_incidence(g: EmbeddedMultiGraph) -> list[tuple[list[tuple[int, int] | None], int]]:
@@ -529,11 +513,9 @@ def _walk_incidence(g: EmbeddedMultiGraph) -> list[tuple[list[tuple[int, int] | 
     A vertex's entry is ``(choices, k)``: its ``d`` walk steps ``(edge,
     position of the other end)`` in ``edges_dict()`` order, loops skipped,
     padded with ``None`` to ``2**k`` entries, where ``k = d.bit_length()``; a
-    vertex without steps has an empty list. Raises
-    :class:`DisconnectedGraphError` unless ``g`` is connected.
+    vertex without steps has an empty list. ``g`` is not checked for
+    connectivity.
     """
-    if not g.is_connected():
-        raise DisconnectedGraphError("graph is not connected")
     verts = g.vertices
     at = {v: i for i, v in enumerate(verts)}
     steps: list[list[tuple[int, int] | None]] = [[] for _ in verts]
@@ -609,7 +591,6 @@ class CachedTreeSampler:
             raise SamplerError("cached sampling is for small graphs")
         self._g = g
         self._select = _policy_select(policy or EdgePolicy.lowest_id())
-        self._engine: TreeCountEngine | None = None  # g's, built by the first run
         # outcome prefix -> ("coin", r) or ("end", tree)
         self._nodes: dict[tuple[bool, ...], tuple] = {}
 
@@ -623,8 +604,6 @@ class CachedTreeSampler:
 
     def _run_past(self, bits: tuple[bool, ...], rng: Random) -> frozenset[int]:
         """One run from the root that replays ``bits``, then draws and caches the coins after it."""
-        if self._engine is None:
-            self._engine = graph_engine(self._g)
         path = list(bits)
         coins = 0
 
@@ -638,7 +617,7 @@ class CachedTreeSampler:
             coins += 1
             return "contracted" if path[coins - 1] else "deleted"
 
-        tree = _run(self._g, self._select, decide, self._engine).tree
+        tree = _run(self._g, self._select, decide).tree
         self._nodes[tuple(path)] = ("end", tree)
         return tree
 

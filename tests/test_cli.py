@@ -8,11 +8,21 @@ quantities must round-trip as strings, never floats.
 import contextlib
 import io
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from conftest import exact_up_to
 
-from treescore import count_spanning_trees, graph_to_json_str, load_graph, make_grid, save_graph
+from treescore import (
+    EmbeddedMultiGraph,
+    count_spanning_trees,
+    graph_to_json_str,
+    load_graph,
+    make_grid,
+    save_graph,
+)
 from treescore.cli import main
 
 
@@ -100,6 +110,51 @@ def test_count_trees_degenerate_graphs(tmp_path, graph, code, stdout, stderr):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph))
     assert run_cli("count-trees", "--graph", str(path)) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize("field", ["rotation", "labels"])
+def test_count_trees_list_where_an_object_belongs_is_an_input_error(tmp_path, field):
+    graph = json.loads(graph_to_json_str(make_grid(2, 2)))
+    graph[field] = [[0, 0]]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, stdout, stderr = run_cli("count-trees", "--graph", str(path))
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1
+    assert "malformed graph object" in json.loads(stderr)["error"]
+
+
+def test_count_trees_above_the_exact_threshold_prints_null(grid_file):
+    with exact_up_to(1):
+        code, stdout, _ = run_cli("count-trees", "--graph", grid_file)
+    data = json.loads(stdout)
+    assert code == 0 and data["exact"] is False
+    assert data["spanning_trees"] is None
+    assert data["log2"] == pytest.approx(math.log2(192))
+
+
+def wheel(spokes):
+    """Hub 0 joined to the rim cycle 1..spokes, embedded with the rim counterclockwise."""
+    edges = {i - 1: (0, i) for i in range(1, spokes + 1)}
+    edges.update({spokes + i - 1: (i, i % spokes + 1) for i in range(1, spokes + 1)})
+    rotation = {0: [(i - 1, 0) for i in range(1, spokes + 1)]}
+    for i in range(1, spokes + 1):
+        prev = i - 1 if i > 1 else spokes
+        rotation[i] = [(i - 1, 1), (spokes + prev - 1, 1), (spokes + i - 1, 0)]
+    return EmbeddedMultiGraph(edges, rotation)
+
+
+def test_count_trees_refuses_a_minor_too_large_to_eliminate(tmp_path):
+    g = wheel(1000)  # 1,001 vertices, under the exact threshold, but bandwidth ~1,000
+    assert g.trace_faces().euler == 2
+    path = tmp_path / "wheel.json"
+    save_graph(g, path)
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli("count-trees", "--graph", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (1, "")
+    error = json.loads(stderr)["error"]
+    assert "1000 rows" in error and "bandwidth" in error and "primes" in error
 
 
 def test_resistance_exact_string(grid_file):
@@ -234,6 +289,19 @@ def test_recom_config_file(grid44_file, partition44_file, tmp_path):
     )
     assert code == 0
     assert len(stdout.strip().splitlines()) == 10
+
+
+@pytest.mark.parametrize(
+    "config", ["[1]", "5", '{"steps": null, "seed": 1}'], ids=["list", "number", "null-steps"]
+)
+def test_recom_malformed_config_is_an_input_error(grid44_file, partition44_file, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    code, stdout, stderr = run_cli(
+        "recom", "--graph", grid44_file, "--partition", partition44_file, "--config", str(path)
+    )
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1 and json.loads(stderr)["error"]
 
 
 def test_recom_requires_plan(grid44_file, partition44_file):

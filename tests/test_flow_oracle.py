@@ -114,7 +114,7 @@ def test_exact_flow_matches_oracle_on_a_grid():
 
 
 def assert_columns_match(state):
-    engine = state._tree_counts()
+    engine = state._engine
     edges = state.edges.values()
     ground = min(state.vertices)
     for x in sorted(state.vertices):
@@ -134,9 +134,9 @@ def test_adjugate_columns_match_oracle_under_edits(seed, ops):
 
 def test_adjugate_columns_match_oracle_after_a_rebuild():
     state = small_prime_state(make_grid(5, 4))
-    before = state._tree_counts()._mods
+    before = state._engine._mods
     state.contract(2)  # 17 and then 61 divide the new tau: two rebuilds
-    assert state._tree_counts()._mods != before
+    assert state._engine._mods != before
     assert_columns_match(state)
 
 

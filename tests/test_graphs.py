@@ -249,3 +249,14 @@ def test_delete_edge_set_equals_successive_deletions(name, g):
     assert same_embedding(g.delete_edge([]), g)
     with pytest.raises(InvalidGraphError):
         g.delete_edge(doomed + [max(g.edge_ids) + 1])
+
+
+def test_derived_graphs_start_with_an_empty_memo():
+    from treescore.partition import _adjacency
+
+    g = make_grid(3, 3)
+    adj = _adjacency(g)
+    assert _adjacency(g) is adj and g._memo
+    for h in (g.copy(), g.delete_edge(0), g.contract_edge(0), induced_subgraph(g, range(6))):
+        assert h._memo == {}
+        assert _adjacency(h) == {v: h.neighbors(v) for v in h.vertices}

@@ -337,7 +337,6 @@ def test_run_products_trace_faces_and_build_the_engine_once(monkeypatch):
     from treescore._adjugate import TreeCountEngine
     from treescore.graphs import EmbeddedMultiGraph
 
-    g = make_grid(4, 4)
     traced, built = [], []
     real_faces, real_build = EmbeddedMultiGraph.trace_faces, TreeCountEngine._build_with
 
@@ -352,6 +351,7 @@ def test_run_products_trace_faces_and_build_the_engine_once(monkeypatch):
     monkeypatch.setattr(EmbeddedMultiGraph, "trace_faces", trace_faces)
     monkeypatch.setattr(TreeCountEngine, "_build_with", build)
     for mode in ("deletion", "mixed"):
+        g = make_grid(4, 4)  # a new graph object, so its engine is built afresh
         traced.clear()
         built.clear()
         report = verify_run_products(g, 4, 4, runs=6, mode=mode, seed=0)

@@ -215,13 +215,13 @@ def test_csv_and_json_output(grid22):
 @pytest.mark.parametrize("sampler", recom.TREE_SAMPLERS)
 def test_run_chain_checks_each_visited_partition_once(monkeypatch, grid44, sampler):
     checked = []
-    real = recom._partition_problems
+    real = recom.check_tolerant_partition
 
-    def counting(adj, p, tolerance):
+    def counting(g, p, tolerance):
         checked.append(p)
-        return real(adj, p, tolerance)
+        return real(g, p, tolerance)
 
-    monkeypatch.setattr(recom, "_partition_problems", counting)
+    monkeypatch.setattr(recom, "check_tolerant_partition", counting)
     p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
     stats = run_chain(grid44, p, ChainConfig(steps=60, seed=3, max_resample=1,
                                              tree_sampler=sampler))
@@ -254,15 +254,19 @@ def test_run_chain_names_the_step_that_cuts_an_unbalanced_side(monkeypatch, grid
     assert len(steps) == 3
 
 
-def test_wilson_steps_check_the_merged_region_once(monkeypatch):
+def test_wilson_steps_build_the_merged_region_once_unchecked(monkeypatch):
     from treescore.graphs import EmbeddedMultiGraph
 
-    checked = []
-    real = EmbeddedMultiGraph.is_connected
+    built, checked = [], []
+    real_build, real_check = recom._walk_incidence, EmbeddedMultiGraph.is_connected
+
+    def building(sub):
+        built.append(sub.num_vertices)
+        return real_build(sub)
 
     def counting(self):
         checked.append(self.num_vertices)
-        return real(self)
+        return real_check(self)
 
     g = make_grid(6, 6)
     p = Partition.from_dict(3, {v: v // 12 for v in g.vertices})
@@ -275,9 +279,12 @@ def test_wilson_steps_check_the_merged_region_once(monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr(recom, "_step", step)
+    monkeypatch.setattr(recom, "_walk_incidence", building)
     monkeypatch.setattr(EmbeddedMultiGraph, "is_connected", counting)
     run_chain(g, p, cfg)
-    # every step drew at least one tree and some drew several, yet the region
-    # was checked once per step, not once per draw
+    # every step drew at least one tree and some drew several, yet the region's
+    # incidence was built once per step, not once per draw
     assert sum(s.resamples for s in steps) > len(steps) == cfg.steps
-    assert checked == [24] * cfg.steps
+    assert built == [24] * cfg.steps
+    # the region joins two validated districts, so its connectivity is not checked
+    assert checked == []

@@ -243,8 +243,8 @@ def test_wilson_rejects_disconnected():
     )
     with pytest.raises(DisconnectedGraphError):
         sample_tree_wilson(g, seed=0)
-    with pytest.raises(DisconnectedGraphError):
-        _walk_incidence(g)
+    with pytest.raises(DisconnectedGraphError):  # a failed build leaves nothing memoised
+        sample_tree_wilson(g, seed=0)
 
 
 @pytest.mark.parametrize("name,g", [("diamond", make_diamond()), ("theta4", make_theta(4)),
@@ -388,3 +388,64 @@ def test_contraction_renames_in_place_like_a_full_scan():
                 for f, (x, y) in reference.items()
             }
             assert list(state.edges.items()) == list(reference.items()), name
+
+
+def test_each_graph_object_builds_its_engine_once(monkeypatch):
+    """Every run on one graph object edits a copy of one engine, and gives what fresh builds give."""
+    from treescore import verify_run_products, verify_score_ratios
+    from treescore._adjugate import TreeCountEngine
+
+    trace = sample_tree_resistance(make_grid(4, 4), seed=3)
+    decisions = {s.edge: s.action for s in trace.steps if not s.forced}
+    runs = [
+        lambda h: [sample_tree_resistance(h, seed=s) for s in range(3)],
+        lambda h: [sample_deletion_run(h, rng=Random(s)) for s in range(3)],
+        lambda h: replay_decisions(h, decisions),
+        lambda h: [run_constrained_deletions(h, [1, 5, 9])[0] for _ in range(2)],
+        lambda h: sample_trees_counter(h, 200, seed=1),
+        lambda h: [verify_run_products(h, 4, 4, runs=4, mode=m).to_json()
+                   for m in ("deletion", "mixed")],
+        lambda h: verify_score_ratios(h, 2, 4, 4).to_json(),
+    ]
+    fresh = [run(make_grid(4, 4)) for run in runs]
+    built = []
+    real = TreeCountEngine._build_with
+
+    def build(engine, primes):
+        built.append(frozenset(engine._vertices))
+        return real(engine, primes)
+
+    monkeypatch.setattr(TreeCountEngine, "_build_with", build)
+    g = make_grid(4, 4)
+    assert [run(g) for run in runs] == fresh
+    assert built == [frozenset(g.vertices)]
+    assert [run(g.copy()) for run in runs[:2]] == fresh[:2]
+    assert len(built) == 3  # a copy is a new graph object with an empty memo
+
+
+def test_wilson_builds_each_graph_incidence_once(monkeypatch):
+    from treescore import sampler
+
+    g = make_grid(3, 3)
+    built = []
+    monkeypatch.setattr(sampler, "_walk_incidence", lambda h: built.append(h) or _walk_incidence(h))
+    a, b = Random(5), Random(5)
+    trees = [sample_tree_wilson(g, rng=a) for _ in range(1000)]
+    assert built == [g]
+    incident = _walk_incidence(g)
+    assert trees == [_wilson_walk(incident, b) for _ in range(1000)]
+
+
+@pytest.mark.parametrize("exact_limit", [64, 1])
+@pytest.mark.parametrize(
+    "run", [sample_tree_resistance, sample_deletion_run, graph_engine]
+)
+def test_a_disconnected_graph_raises_on_every_call(run, exact_limit):
+    g = EmbeddedMultiGraph(
+        {0: (0, 1), 1: (2, 3)},
+        {0: [(0, 0)], 1: [(0, 1)], 2: [(1, 0)], 3: [(1, 1)]},
+    )
+    with exact_up_to(exact_limit):
+        for _ in range(2):  # a failed build leaves nothing memoised
+            with pytest.raises(DisconnectedGraphError):
+                run(g)

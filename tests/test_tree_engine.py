@@ -11,6 +11,7 @@ after a retry whose replacement prime divides it too.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import exact_up_to
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treescore import make_grid, sample_tree_resistance
+from treescore import make_grid, sample_tree_resistance, sampler
 from treescore._adjugate import TreeCountEngine
 from treescore._linalg import laplacian_minor_det
 from treescore._modular import hadamard_bound, word_primes
@@ -31,7 +32,8 @@ SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 def small_prime_state(g):
     """An exact run state whose engine draws its moduli from ``SMALL_PRIMES``."""
     engine = TreeCountEngine(set(g.vertices), g.edges_dict(), primes=SMALL_PRIMES)
-    return _RunState(g, exact=True, engine=engine)
+    with mock.patch.object(sampler, "graph_engine", lambda h: engine):
+        return _RunState(g, exact=True)
 
 
 def assert_matches_oracle(state):
@@ -79,7 +81,7 @@ def test_prime_dividing_tau_forces_rebuild():
     g = make_grid(3, 3)  # 192 = 2**6 * 3 spanning trees
     state = small_prime_state(g)
     assert state.trees == 192
-    engine = state._tree_counts()
+    engine = state._engine
     assert 2 not in engine.primes and 3 not in engine.primes
     before = engine.primes
     edit_and_check(state, [(False, 0), (True, 3), (False, 5), (True, 1), (False, 2)] * 3)
@@ -89,7 +91,7 @@ def test_prime_dividing_tau_forces_rebuild():
 def test_rebuild_retries_while_a_replacement_prime_divides_the_new_tau(monkeypatch):
     g = make_grid(5, 4)  # tau = 3**2 * 11 * 19 * 31 * 71
     state = small_prime_state(g)
-    engine = state._tree_counts()
+    engine = state._engine
     u, v = state.edges[2]
     s = state.trees_containing(u, v)
     assert (state.trees, s) == (4140081, 3 * 17 * 61 * 883)  # s is the tau after contracting
