@@ -33,7 +33,6 @@ from .partition import (
     validate_partition,
 )
 from .sampler import run_constrained_deletions
-from . import spectral
 from .spectral import count_spanning_trees
 
 CLAIMS = ("lemma32", "theorem31", "eq4", "corollary")
@@ -244,13 +243,9 @@ def verify_score_ratio(
     Both sides exact. The score is cross-checked by a second route: delete
     the non-retained cut edges step by step and multiply the per-step
     survival probabilities, which must telescope to the same ratio. A graph
-    above ``spectral.EXACT_COUNT_THRESHOLD`` vertices is refused.
+    whose tree count is too large to eliminate is refused by the count's
+    ``MinorTooLargeError``.
     """
-    if g.num_vertices > spectral.EXACT_COUNT_THRESHOLD:
-        raise BoundsError(
-            f"graph has {g.num_vertices} vertices; exact tree counts stop at "
-            f"{spectral.EXACT_COUNT_THRESHOLD}"
-        )
     _require_bounded(g, k1, k2)
     c1, c2 = _constants(k1, k2)
     trees = int(count_spanning_trees(g))

@@ -9,8 +9,8 @@ as floats: JSON numbers lose precision above 2**53 and these outputs are
 meant to be reproducible bit for bit. Stochastic subcommands require an
 explicit ``--seed`` for the same reason. Values that are floats to begin
 with, such as the sampler's above its exact threshold, stay JSON numbers.
-A count with no exact value (``count-trees`` above the exact threshold) is
-``null``, next to its float ``log2``.
+A tree count is always exact: a graph whose count would exceed the
+elimination work limit is refused with exit 1.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .partition import load_partition, spanning_tree_distribution
 from .pebbles import verify_run_products
 from .recom import ChainConfig, run_chain
 from .sampler import _num, sample_tree_resistance, sample_tree_wilson, trace_to_jsonl
-from .spectral import _count, effective_resistance, enumerate_spanning_trees
+from .spectral import count_spanning_trees, effective_resistance, enumerate_spanning_trees
 
 DEFAULT_ENUM_CAP = 100_000
 COUNTEREXAMPLE_FAMILIES = ("3.3", "3.4")
@@ -94,11 +94,8 @@ def _cmd_make_grid(args) -> int:
 
 def _cmd_count_trees(args) -> int:
     g = load_graph(args.graph)  # refuses an empty or disconnected graph
-    tc = _count(g)
-    payload = {"spanning_trees": str(tc.value) if tc.exact else None, "exact": tc.exact}
-    if not tc.exact:
-        payload["log2"] = tc.log2
-    _emit_json(payload, args.output)
+    tc = count_spanning_trees(g)
+    _emit_json({"spanning_trees": str(tc.value), "exact": tc.exact}, args.output)
     return 0
 
 
@@ -149,8 +146,8 @@ def _cmd_sample_tree(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = load_graph(args.graph)
     cap = DEFAULT_ENUM_CAP if args.limit is None else args.limit
-    tc = _count(g)
-    if not tc.exact or tc.value > cap:
+    tc = count_spanning_trees(g)
+    if tc.value > cap:
         raise UsageError(
             f"graph has {tc.value} spanning trees, above the enumeration cap {cap}"
         )

@@ -22,6 +22,23 @@ class InvalidGraphError(ValueError):
     """Raised for malformed graph data (bad rotations, unknown edges, bad format)."""
 
 
+def _memoised(build):
+    """Decorator: ``build(g)`` runs once per graph, and later calls return its result.
+
+    The result is kept in ``g``'s memo, which every new graph starts empty;
+    callers must treat it as read-only. A build that raises stores nothing.
+    """
+
+    @functools.wraps(build)
+    def view(g: EmbeddedMultiGraph):
+        memo = g._memo
+        if build not in memo:
+            memo[build] = build(g)
+        return memo[build]
+
+    return view
+
+
 class EmbeddedMultiGraph:
     """Multigraph with an explicit rotation system.
 
@@ -181,6 +198,7 @@ class EmbeddedMultiGraph:
 
     # --- faces ------------------------------------------------------------
 
+    @_memoised
     def trace_faces(self) -> "DualGraph":
         """Walk all face orbits of the embedding.
 
@@ -227,23 +245,6 @@ class EmbeddedMultiGraph:
             face_degree=face_degree,
             euler=euler,
         )
-
-
-def _memoised(build):
-    """Decorator: ``build(g)`` runs once per graph, and later calls return its result.
-
-    The result is kept in ``g``'s memo, which every new graph starts empty;
-    callers must treat it as read-only. A build that raises stores nothing.
-    """
-
-    @functools.wraps(build)
-    def view(g: EmbeddedMultiGraph):
-        memo = g._memo
-        if build not in memo:
-            memo[build] = build(g)
-        return memo[build]
-
-    return view
 
 
 class _UnionFind:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import EmbeddedMultiGraph, InvalidGraphError, _memoised, induced_subgraph
-from .spectral import _count, count_spanning_trees
+from .spectral import count_spanning_trees
 
 ENUMERATION_VERTEX_CAP = 20
 
@@ -156,7 +156,7 @@ def _score(g: EmbeddedMultiGraph, p: Partition) -> int:
     """The body of :func:`spanning_tree_score`, for a partition known to be valid."""
     score = 1
     for block in p.districts():
-        score *= int(_count(induced_subgraph(g, block)))
+        score *= int(count_spanning_trees(induced_subgraph(g, block)))
     return score
 
 

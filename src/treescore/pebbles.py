@@ -56,7 +56,6 @@ from ._linalg import log2_fraction
 from .bounds import GUARD, BoundReport, BoundsError, _require_bounded, merge_reports
 from .graphs import (
     BoundednessCertificate,
-    DualGraph,
     EmbeddedMultiGraph,
     _UnionFind,
     bound_violations,
@@ -269,13 +268,6 @@ def track_pebbles(
             f"graph is not ({k1},{k2})-degree-bounded for exempt vertex {v0} and "
             f"exempt face {f0}: first violation {unbounded[0]}"
         )
-    return _track(trace, g, dual, v0, f0, k1, k2)
-
-
-def _track(
-    trace: SampleTrace, g: EmbeddedMultiGraph, dual: DualGraph, v0: int, f0: int, k1: int, k2: int
-) -> PebbleHistory:
-    """The body of :func:`track_pebbles`, for checked inputs; ``dual`` is ``g.trace_faces()``."""
     verts = _Side("vertex", k1, g.edges_dict(), {v: g.degree(v) for v in g.vertices}, v0)
     faces = _Side("face", k2, dual.dual_edges, dual.face_degree, f0)
     # One rule, the sides swapped: an action merges the two classes at e's
@@ -602,8 +594,8 @@ def verify_run_products(
     trace and any of its violations are folded into the report.
 
     The graph must be ``(k1, k2)``-degree-bounded; its certificate supplies
-    the exemptions for the pile tracker. The graph is certified and its faces
-    traced once per report; every run edits a copy of its one engine. Raises
+    the exemptions for the pile tracker. The graph's faces are traced once
+    (memoised on ``g``); every run edits a copy of its one engine. Raises
     :class:`~treescore.bounds.BoundsError` if the certificate fails.
     """
     if runs < 1:
@@ -611,7 +603,6 @@ def verify_run_products(
     if mode not in ("deletion", "mixed"):
         raise BoundsError(f"unknown mode {mode!r}")
     cert = _require_bounded(g, k1, k2)
-    dual = g.trace_faces()
     sample = sample_deletion_run if mode == "deletion" else sample_tree_resistance
     reports = []
     pebble_failures: list[dict] = []
@@ -626,7 +617,7 @@ def verify_run_products(
         # Per-run notes vary by seed (step counts, pointwise detail) and would
         # bloat the merged list; the aggregate notes below cover them.
         rep = dataclasses.replace(rep, notes=())
-        history = _track(trace, g, dual, cert.v0, cert.f0, k1, k2)
+        history = track_pebbles(trace, g, cert.v0, cert.f0, k1, k2)
         pebble_failures.extend({"run": i, **v} for v in history.violations)
         reports.append(rep)
     merged = merge_reports(*reports)

@@ -74,6 +74,10 @@ class ChainConfig:
     tree_sampler: str = "wilson"
 
     def __post_init__(self):
+        for name in ("steps", "seed", "balance_tolerance", "max_resample"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise RecomError(f"{name} must be an integer, not {value!r}")
         if self.steps < 0:
             raise RecomError("steps must be non-negative")
         if self.balance_tolerance < 0:
@@ -97,6 +101,9 @@ class ChainConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainConfig":
+        if not isinstance(obj, dict):
+            raise RecomError("config JSON must be an object")
+
         def pick(name: str, default):
             for key in (name, name.replace("-", "_")):
                 if key in obj:
@@ -112,16 +119,13 @@ class ChainConfig:
         unknown = sorted(set(obj) - known)
         if unknown:
             raise RecomError(f"unknown config fields: {', '.join(unknown)}")
-        try:
-            return cls(
-                steps=int(pick("steps", None)),
-                seed=int(pick("seed", None)),
-                balance_tolerance=int(pick("balance-tolerance", 0)),
-                max_resample=int(pick("max-resample", 64)),
-                tree_sampler=str(pick("tree-sampler", "wilson")),
-            )
-        except TypeError as exc:
-            raise RecomError(f"malformed config field: {exc}") from exc
+        return cls(
+            steps=pick("steps", None),
+            seed=pick("seed", None),
+            balance_tolerance=pick("balance-tolerance", 0),
+            max_resample=pick("max-resample", 64),
+            tree_sampler=pick("tree-sampler", "wilson"),
+        )
 
     @classmethod
     def from_json_str(cls, text: str) -> "ChainConfig":
@@ -129,8 +133,6 @@ class ChainConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise RecomError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise RecomError("config JSON must be an object")
         return cls.from_json(obj)
 
 

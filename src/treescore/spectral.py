@@ -1,10 +1,12 @@
 """Spanning-tree counts, electrical flows, and effective resistances.
 
 A tree count is the determinant of the Laplacian with one vertex's row and
-column removed, computed exactly up to ``EXACT_COUNT_THRESHOLD`` vertices
-(above it, a float ``slogdet`` gives only log2). The effective resistance of
-an edge is the probability that a uniform spanning tree contains it: the
-ratio of the minor without both endpoints to the minor without one.
+column removed, always exact: a minor too large to eliminate raises
+``_modular.MinorTooLargeError`` instead of being approximated. It is 0
+exactly when the graph is disconnected, so no count needs a connectivity
+check. The effective resistance of an edge is the probability that a
+uniform spanning tree contains it: the ratio of the minor without both
+endpoints to the minor without one.
 
 Every exact minor goes through one size choice. Below ``MODULAR_MINOR_ROWS``
 rows it is ``_linalg.laplacian_minor_det`` (fraction-free Bareiss on Python
@@ -32,20 +34,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._adjugate import TreeCountEngine
-from ._linalg import (
-    grounded_resistance,
-    laplacian_minor_det,
-    log2_int,
-    reduced_laplacian,
-    unit_voltages,
-)
+from ._linalg import grounded_resistance, laplacian_minor_det, log2_int, unit_voltages
 from ._modular import minor_det
 from .graphs import EmbeddedMultiGraph, _UnionFind
 
-EXACT_COUNT_THRESHOLD = 2048
 EXACT_FLOW_THRESHOLD = 64
 # Minors of at least this many rows go to banded modular elimination; below
 # it Bareiss is faster, because the modular path's fixed cost dominates.
@@ -54,15 +47,13 @@ MODULAR_MINOR_ROWS = 32
 
 @dataclass(frozen=True)
 class TreeCount:
-    """Spanning-tree count; exact unless the graph exceeded the size threshold."""
+    """Exact spanning-tree count, with its log2 (None for a count of 0)."""
 
-    value: int | None
+    value: int
     exact: bool = True
     log2: float | None = None
 
     def __int__(self) -> int:
-        if self.value is None:
-            raise ValueError("count is approximate; use .log2")
         return self.value
 
 
@@ -104,29 +95,16 @@ def _minor(vertices: list[int], endpoints, excluded: set[int]) -> int:
 
 
 def count_spanning_trees(g: EmbeddedMultiGraph) -> TreeCount:
-    """Number of spanning trees (1 for a single vertex, 0 when disconnected)."""
-    n = g.num_vertices
-    if n == 0:
+    """Exact number of spanning trees (1 for a single vertex, 0 when disconnected).
+
+    Raises ``MinorTooLargeError`` (a ``ValueError``) when the minor is too
+    large to eliminate within ``_modular.MAX_MINOR_WORK``.
+    """
+    if g.num_vertices == 0:
         raise ValueError("empty graph")
-    if n > 1 and not g.is_connected():
-        return TreeCount(0, True, None)
-    return _count(g)
-
-
-def _count(g: EmbeddedMultiGraph) -> TreeCount:
-    """The body of :func:`count_spanning_trees`, for a nonempty graph known to be connected."""
-    n = g.num_vertices
-    if n == 1:
-        return TreeCount(1, True, 0.0)
     verts = g.vertices
-    if n <= EXACT_COUNT_THRESHOLD:
-        value = _minor(verts, _endpoint_iter(g), {verts[-1]})
-        return TreeCount(value, True, log2_int(value))
-    m = reduced_laplacian(verts[:-1], _endpoint_iter(g), np.zeros((n - 1, n - 1)))
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        return TreeCount(0, True, None)
-    return TreeCount(None, False, float(logdet / np.log(2.0)))
+    value = _minor(verts, _endpoint_iter(g), {verts[-1]})
+    return TreeCount(value, True, log2_int(value) if value else None)
 
 
 def enumerate_spanning_trees(g: EmbeddedMultiGraph) -> list[frozenset[int]]:

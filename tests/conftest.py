@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
-from treescore import make_grid, sampler, spectral, verify_run_products
+from treescore import EmbeddedMultiGraph, make_grid, sampler, verify_run_products
 from treescore.fixtures import (
     make_complete4,
     make_cycle,
@@ -30,17 +30,28 @@ settings.load_profile("tier1")
 
 @contextmanager
 def exact_up_to(n: int):
-    """Inside the block, samplers and tree counts are exact only up to n vertices.
+    """Inside the block, the samplers are exact only up to n vertices.
 
     A context manager rather than a fixture, so that ``@given`` tests can use
-    it too. ``n = 1`` sends every multi-vertex graph down the float paths.
+    it too. ``n = 1`` sends every multi-vertex graph down the float path.
     """
-    saved = sampler.EXACT_SAMPLER_THRESHOLD, spectral.EXACT_COUNT_THRESHOLD
-    sampler.EXACT_SAMPLER_THRESHOLD = spectral.EXACT_COUNT_THRESHOLD = n
+    saved = sampler.EXACT_SAMPLER_THRESHOLD
+    sampler.EXACT_SAMPLER_THRESHOLD = n
     try:
         yield
     finally:
-        sampler.EXACT_SAMPLER_THRESHOLD, spectral.EXACT_COUNT_THRESHOLD = saved
+        sampler.EXACT_SAMPLER_THRESHOLD = saved
+
+
+def wheel(spokes):
+    """Hub 0 joined to the rim cycle 1..spokes, embedded with the rim counterclockwise."""
+    edges = {i - 1: (0, i) for i in range(1, spokes + 1)}
+    edges.update({spokes + i - 1: (i, i % spokes + 1) for i in range(1, spokes + 1)})
+    rotation = {0: [(i - 1, 0) for i in range(1, spokes + 1)]}
+    for i in range(1, spokes + 1):
+        prev = i - 1 if i > 1 else spokes
+        rotation[i] = [(i - 1, 1), (spokes + prev - 1, 1), (spokes + i - 1, 0)]
+    return EmbeddedMultiGraph(edges, rotation)
 
 
 RUN_CORPUS_SPEC = {

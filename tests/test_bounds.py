@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import exact_up_to
+from conftest import wheel
 
 from treescore import (
     BoundReport,
@@ -38,6 +38,7 @@ from treescore import (
     verify_score_ratios,
 )
 from treescore import bounds
+from treescore._modular import MinorTooLargeError
 from treescore.bounds import gap_alpha_log2
 from treescore.fixtures import (
     make_twelve_county,
@@ -166,17 +167,12 @@ def test_score_ratio_single_partition(grid44):
     assert Fraction(1, 8) ** (b - 1) <= ratio <= Fraction(3, 4) ** (b - 1)
 
 
-def test_score_ratio_refuses_a_graph_above_the_exact_count_threshold(monkeypatch):
-    """No log-domain approximation: the claim is refused before any count."""
-    g = make_grid(3, 3)
-    p = Partition.from_dict(3, {v: v % 3 for v in g.vertices})
-
-    def no_count(h):
-        raise AssertionError("counted trees of a refused graph")
-
-    monkeypatch.setattr(bounds, "count_spanning_trees", no_count)
-    with exact_up_to(4), pytest.raises(BoundsError, match="exact tree counts stop at 4"):
-        verify_score_ratio(g, p, 4, 4)
+def test_score_ratio_refuses_a_graph_whose_count_is_too_large():
+    """No approximation: the tree count of G refuses, whatever the vertex count."""
+    g = wheel(2100)
+    p = Partition.from_dict(1, dict.fromkeys(g.vertices, 0))
+    with pytest.raises(MinorTooLargeError, match="above the limit"):
+        verify_score_ratio(g, p, 3, 3)
 
 
 def test_score_ratios_small_grid_exhaustive():

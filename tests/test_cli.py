@@ -8,17 +8,16 @@ quantities must round-trip as strings, never floats.
 import contextlib
 import io
 import json
-import math
 import time
 from fractions import Fraction
 
 import pytest
-from conftest import exact_up_to
+from conftest import wheel
 
 from treescore import (
-    EmbeddedMultiGraph,
     count_spanning_trees,
     graph_to_json_str,
+    grid_tree_number,
     load_graph,
     make_grid,
     save_graph,
@@ -124,28 +123,8 @@ def test_count_trees_list_where_an_object_belongs_is_an_input_error(tmp_path, fi
     assert "malformed graph object" in json.loads(stderr)["error"]
 
 
-def test_count_trees_above_the_exact_threshold_prints_null(grid_file):
-    with exact_up_to(1):
-        code, stdout, _ = run_cli("count-trees", "--graph", grid_file)
-    data = json.loads(stdout)
-    assert code == 0 and data["exact"] is False
-    assert data["spanning_trees"] is None
-    assert data["log2"] == pytest.approx(math.log2(192))
-
-
-def wheel(spokes):
-    """Hub 0 joined to the rim cycle 1..spokes, embedded with the rim counterclockwise."""
-    edges = {i - 1: (0, i) for i in range(1, spokes + 1)}
-    edges.update({spokes + i - 1: (i, i % spokes + 1) for i in range(1, spokes + 1)})
-    rotation = {0: [(i - 1, 0) for i in range(1, spokes + 1)]}
-    for i in range(1, spokes + 1):
-        prev = i - 1 if i > 1 else spokes
-        rotation[i] = [(i - 1, 1), (spokes + prev - 1, 1), (spokes + i - 1, 0)]
-    return EmbeddedMultiGraph(edges, rotation)
-
-
 def test_count_trees_refuses_a_minor_too_large_to_eliminate(tmp_path):
-    g = wheel(1000)  # 1,001 vertices, under the exact threshold, but bandwidth ~1,000
+    g = wheel(1000)  # 1,001 vertices, bandwidth ~1,000
     assert g.trace_faces().euler == 2
     path = tmp_path / "wheel.json"
     save_graph(g, path)
@@ -155,6 +134,24 @@ def test_count_trees_refuses_a_minor_too_large_to_eliminate(tmp_path):
     assert (code, stdout) == (1, "")
     error = json.loads(stderr)["error"]
     assert "1000 rows" in error and "bandwidth" in error and "primes" in error
+
+
+def test_count_trees_is_exact_above_two_thousand_vertices(tmp_path):
+    path = tmp_path / "ladder.json"
+    save_graph(make_grid(1100, 2), path)  # 2,200 vertices, bandwidth 2
+    code, stdout, _ = run_cli("count-trees", "--graph", str(path))
+    assert code == 0
+    assert json.loads(stdout) == {"exact": True, "spanning_trees": str(grid_tree_number(1100))}
+
+
+def test_count_trees_refuses_rather_than_approximates_a_large_wheel(tmp_path):
+    path = tmp_path / "wheel.json"
+    save_graph(wheel(2100), path)  # 2,101 vertices, bandwidth ~2,100
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli("count-trees", "--graph", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (1, "")
+    assert "word operations, above the limit" in json.loads(stderr)["error"]
 
 
 def test_resistance_exact_string(grid_file):
@@ -292,7 +289,9 @@ def test_recom_config_file(grid44_file, partition44_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config", ["[1]", "5", '{"steps": null, "seed": 1}'], ids=["list", "number", "null-steps"]
+    "config",
+    ["[1]", "5", '{"steps": null, "seed": 1}', '{"steps": 2.5, "seed": 1}'],
+    ids=["list", "number", "null-steps", "fractional-steps"],
 )
 def test_recom_malformed_config_is_an_input_error(grid44_file, partition44_file, tmp_path, config):
     path = tmp_path / "cfg.json"

@@ -324,9 +324,7 @@ def test_table_scoring_skips_the_connectivity_check(monkeypatch):
     g = make_grid(4, 5)
     table = spanning_tree_distribution(g, 4)
     assert len(table.entries) > 1
-    # only tau(G) is counted through the public, checking count_spanning_trees
-    assert checked == [g.num_vertices]
-    # the public count still checks the district it is handed
+    # no count makes a BFS: a disconnected graph's minor is 0 by itself
     block = table.entries[0].partition.districts()[0]
     count_spanning_trees(induced_subgraph(g, block))
-    assert checked == [g.num_vertices, len(block)]
+    assert checked == []

@@ -334,28 +334,33 @@ def test_tracker_reports_a_lowered_contraction(diamond):
 
 
 def test_run_products_trace_faces_and_build_the_engine_once(monkeypatch):
+    import sys
+
+    from treescore import graphs
     from treescore._adjugate import TreeCountEngine
-    from treescore.graphs import EmbeddedMultiGraph
 
     traced, built = [], []
-    real_faces, real_build = EmbeddedMultiGraph.trace_faces, TreeCountEngine._build_with
+    real_dual, real_build = graphs.DualGraph, TreeCountEngine._build_with
+    faces_code = graphs.EmbeddedMultiGraph.trace_faces.__wrapped__.__code__
 
-    def trace_faces(self):
-        traced.append(self.num_vertices)
-        return real_faces(self)
+    def dual(**fields):
+        builder = sys._getframe(1)
+        assert builder.f_code is faces_code
+        traced.append(builder.f_locals["self"])
+        return real_dual(**fields)
 
     def build(engine, primes):
         built.append(frozenset(engine._vertices))
         return real_build(engine, primes)
 
-    monkeypatch.setattr(EmbeddedMultiGraph, "trace_faces", trace_faces)
+    monkeypatch.setattr(graphs, "DualGraph", dual)
     monkeypatch.setattr(TreeCountEngine, "_build_with", build)
     for mode in ("deletion", "mixed"):
-        g = make_grid(4, 4)  # a new graph object, so its engine is built afresh
+        g = make_grid(4, 4)  # a new graph object, so its faces and engine are built afresh
         traced.clear()
         built.clear()
         report = verify_run_products(g, 4, 4, runs=6, mode=mode, seed=0)
         assert report.holds and report.instances_checked > 0
-        # once for the certificate, once for the pile tracker
-        assert len(traced) <= 2
+        # the certificate and every run's pile tracker share one face build
+        assert len(traced) == 1 and traced[0] is g
         assert built == [frozenset(g.vertices)]

@@ -35,6 +35,8 @@ def test_config_validation():
         ChainConfig(steps=1, seed=0, max_resample=0)
     with pytest.raises(RecomError):
         ChainConfig(steps=1, seed=0, tree_sampler="kruskal")
+    with pytest.raises(RecomError, match="seed must be an integer"):
+        ChainConfig(steps=1, seed=False)
 
 
 def test_config_json_round_trip():
@@ -56,6 +58,20 @@ def test_config_json_rejects_bad_input():
         ChainConfig.from_json_str("[1, 2]")
     with pytest.raises(RecomError):
         ChainConfig.from_json_str("not json")
+    for obj in (5, [1, 2], "steps", None):  # the library entry point refuses them too
+        with pytest.raises(RecomError, match="must be an object"):
+            ChainConfig.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"steps": 2.9}, {"steps": "2"}, {"seed": True}, {"seed": None}, {"max-resample": "7"},
+     {"balance_tolerance": 0.0}, {"tree-sampler": 1}, {"tree-sampler": ["wilson"]},
+     {"steps": 2.9, "seed": True, "max-resample": "7"}],
+)
+def test_config_refuses_a_mistyped_field_instead_of_coercing_it(fields):
+    with pytest.raises(RecomError, match="integer|tree sampler"):
+        ChainConfig.from_json({"steps": 2, "seed": 1, **fields})
 
 
 def test_tolerant_validation(grid22):

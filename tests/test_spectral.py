@@ -6,8 +6,8 @@ listing. The counting identities (deletion-contraction, sum rule, bounds
 from cycles and stars) are checked as properties over the fixture suite.
 """
 
-import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from conftest import exact_up_to
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from treescore import (
     DisconnectedGraphError,
     EmbeddedMultiGraph,
+    TreeCount,
     count_spanning_trees,
     effective_resistance,
     enumerate_spanning_trees,
@@ -25,6 +26,7 @@ from treescore import (
     resistance_fraction,
     sample_tree_resistance,
     solve_flow,
+    spectral,
 )
 from treescore.fixtures import (
     make_complete4,
@@ -63,13 +65,6 @@ def test_tree_count_fields():
     tc = count_spanning_trees(make_grid(3, 3))
     assert tc.exact and tc.value == 192
     assert tc.log2 == pytest.approx(7.5849625, abs=1e-6)
-
-
-def test_tree_count_float_mode():
-    with exact_up_to(1):
-        tc = count_spanning_trees(make_grid(3, 3))
-    assert not tc.exact
-    assert tc.log2 == pytest.approx(7.5849625, abs=1e-9)
 
 
 def test_count_disconnected_is_zero():
@@ -233,13 +228,24 @@ MULTIGRAPHS = st.builds(
 )
 
 
-@given(g=MULTIGRAPHS)
-@settings(max_examples=60)
-def test_float_count_matches_exact(g):
-    with exact_up_to(1):
-        approx = count_spanning_trees(g)
-    assert not approx.exact
-    assert approx.log2 == pytest.approx(math.log2(int(count_spanning_trees(g))), abs=1e-9)
+def disjoint_union(a: EmbeddedMultiGraph, b: EmbeddedMultiGraph) -> EmbeddedMultiGraph:
+    """``a`` beside ``b``, whose vertex and edge ids are shifted past ``a``'s."""
+    dv, de = max(a.vertices) + 1, max(a.edge_ids, default=-1) + 1
+    edges = a.edges_dict()
+    edges.update({e + de: (u + dv, v + dv) for e, (u, v) in b.edges_dict().items()})
+    rotation = {v: a.rotation(v) for v in a.vertices}
+    rotation.update({v + dv: [(e + de, s) for e, s in b.rotation(v)] for v in b.vertices})
+    return EmbeddedMultiGraph(edges, rotation)
+
+
+@given(a=MULTIGRAPHS, b=MULTIGRAPHS)
+@settings(max_examples=30)
+def test_a_disconnected_graph_counts_zero_without_a_connectivity_check(a, b):
+    g = disjoint_union(a, b)
+    with patch.object(EmbeddedMultiGraph, "is_connected", side_effect=AssertionError("BFS")):
+        for rows in (1, g.num_vertices):  # modular elimination, then Bareiss
+            with patch.object(spectral, "MODULAR_MINOR_ROWS", rows):
+                assert count_spanning_trees(g) == TreeCount(0, True, None)
 
 
 @given(g=MULTIGRAPHS, pick=st.integers(0, 10**6))
