@@ -32,12 +32,6 @@ the new ``tau``, so a prime that divides it has no inverse: the engine is
 rebuilt from the current graph with that prime replaced, and the update is
 retried until no prime in use divides the new ``tau``. A wrong answer is
 never returned silently: a failed check raises :class:`ArithmeticError`.
-
-Columns: ``tau * M e_x`` is column x of the grounded adjugate, read as
-residues times ``tau`` and recovered by the same checked CRT. Its entry w
-counts the two-tree spanning forests that put the ground in one tree and
-w and x in the other, so ``0 <= A[w, x] <= A[w, w] <= H``. Voltages of a
-unit flow are differences of two such columns over ``tau``.
 """
 
 from __future__ import annotations
@@ -180,20 +174,6 @@ class TreeCountEngine:
     def trees_containing(self, u: int, v: int) -> int:
         """Number of spanning trees that contain a (non-loop) edge u-v."""
         return self._edge(u, v)[1]
-
-    def adjugate_column(self, x: int) -> dict[int, int]:
-        """Column x of the grounded adjugate ``tau * M`` as exact ints, keyed by vertex.
-
-        The ground has no row, and its column is zero. Every entry lies in
-        ``[0, H]`` (see the module docstring), so CRT recovers it exactly.
-        """
-        ix = self._index.get(x)
-        if ix is None:
-            return dict.fromkeys(self._order, 0)
-        pc = self._p[:, None]
-        tau = np.array(self._tau_res, dtype=np.uint64)[:, None]
-        col = (self._m[:, ix, :] % pc) * tau % pc
-        return {w: self._crt.recover(r) for w, r in zip(self._order, col.T.tolist())}
 
     def _update(self, w: np.ndarray, new_tau: int, sign: int) -> None:
         """M <- M + g w w^T with g = sign tau / new_tau modulo each prime; tau <- new_tau.

@@ -1,4 +1,4 @@
-"""Dense Laplacian assembly, Bareiss determinants, float unit flows, and log2 helpers."""
+"""Dense Laplacian assembly, Bareiss determinants, the sampler's float resistance, and log2 helpers."""
 
 from __future__ import annotations
 
@@ -68,22 +68,14 @@ def reduced_laplacian(kept: list[int], endpoints, m):
     return m
 
 
-def unit_voltages(kept: list[int], endpoints, i: int) -> np.ndarray:
-    """Float voltages, grounded vertices at 0, for one unit of current into ``kept[i]``.
-
-    One dense solve of the Laplacian restricted to ``kept``.
-    """
-    n = len(kept)
-    b = np.zeros(n)
-    b[i] = 1.0
-    return np.linalg.solve(reduced_laplacian(kept, endpoints, np.zeros((n, n))), b)
-
-
 def grounded_resistance(vertices, endpoints, u: int, v: int) -> float:
-    """Float effective resistance between u and v: one solve grounded at v."""
+    """Float effective resistance between u and v: one dense solve grounded at v."""
     kept = sorted(w for w in vertices if w != v)
+    n = len(kept)
     iu = kept.index(u)
-    return float(unit_voltages(kept, endpoints, iu)[iu])
+    rhs = np.zeros(n)
+    rhs[iu] = 1.0
+    return float(np.linalg.solve(reduced_laplacian(kept, endpoints, np.zeros((n, n))), rhs)[iu])
 
 
 def laplacian_minor_det(

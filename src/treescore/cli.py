@@ -108,9 +108,8 @@ def _cmd_resistance(args) -> int:
         "edge": res.edge,
         "method": res.method,
         "approx": res.approx,
+        "resistance": _num(res.exact),
     }
-    if res.exact is not None:
-        payload["resistance"] = _num(res.exact)
     _emit_json(payload, args.output)
     return 0
 

@@ -444,14 +444,39 @@ def graph_to_json_str(g: EmbeddedMultiGraph) -> str:
     return json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
 
 
+def _strict_int(value, what: str, key: bool = False) -> int:
+    """``value`` if it is exactly an integer; nothing is coerced.
+
+    Accepts an ``int`` that is not a ``bool`` and, for an object key, which
+    JSON writes as a string (``key``), a canonical decimal string
+    (``s == str(int(s))``). Anything else raises ``TypeError`` or
+    ``ValueError``.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if key and isinstance(value, str) and value == str(int(value)):
+        return int(value)
+    raise TypeError(f"{what} must be an integer, not {value!r}")
+
+
 def graph_from_json(obj: dict, require_connected: bool = True) -> EmbeddedMultiGraph:
     try:
-        vertices = [int(v) for v in obj["vertices"]]
-        edges = {int(rec["id"]): (int(rec["u"]), int(rec["v"])) for rec in obj["edges"]}
-        rotation = {
-            int(v): [(int(e), int(s)) for e, s in rot] for v, rot in obj["rotation"].items()
+        vertices = [_strict_int(v, "vertex") for v in obj["vertices"]]
+        edges = {
+            _strict_int(rec["id"], "edge id"): (
+                _strict_int(rec["u"], "edge end"), _strict_int(rec["v"], "edge end")
+            )
+            for rec in obj["edges"]
         }
-        labels = {int(v): str(s) for v, s in obj.get("labels", {}).items()}
+        rotation = {
+            _strict_int(v, "rotation key", key=True): [
+                (_strict_int(e, "dart edge"), _strict_int(s, "dart side")) for e, s in rot
+            ]
+            for v, rot in obj["rotation"].items()
+        }
+        labels = {
+            _strict_int(v, "label key", key=True): str(s) for v, s in obj.get("labels", {}).items()
+        }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidGraphError(f"malformed graph object: {exc}") from exc
     if sorted(rotation) != sorted(set(vertices)):

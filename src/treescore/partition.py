@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import EmbeddedMultiGraph, InvalidGraphError, _memoised, induced_subgraph
+from .graphs import EmbeddedMultiGraph, InvalidGraphError, _memoised, _strict_int, induced_subgraph
 from .spectral import count_spanning_trees
 
 ENUMERATION_VERTEX_CAP = 20
@@ -97,14 +97,17 @@ def check_tolerant_partition(
 ) -> list[str]:
     """Problems with a partition under a balance tolerance (empty = ok).
 
-    Every vertex must be assigned to exactly one district, every district must
-    be connected, and every district size must lie within ``tolerance`` of
-    ``|V|/m`` (compared exactly: ``|size*m - |V|| <= tolerance*m``). With
-    tolerance 0 this is exact balance.
+    ``m`` must lie in ``1..|V|``; this is checked first, so a huge ``m``
+    builds no districts. Every vertex must be assigned to exactly one
+    district, every district must be connected, and every district size must
+    lie within ``tolerance`` of ``|V|/m`` (compared exactly: ``|size*m - |V||
+    <= tolerance*m``). With tolerance 0 this is exact balance.
     """
     adj = _adjacency(g)
-    problems: list[str] = []
     n = len(adj)
+    if not 1 <= p.m <= n:
+        return [f"m = {p.m} is not between 1 and the {n} vertices"]
+    problems: list[str] = []
     assigned = {v for v, _ in p.assignment}
     if assigned != adj.keys():
         missing = sorted(adj.keys() - assigned)
@@ -371,8 +374,11 @@ def partition_to_json(p: Partition) -> dict:
 
 def partition_from_json(obj: dict) -> Partition:
     try:
-        m = int(obj["m"])
-        assignment = {int(v): int(d) for v, d in obj["assignment"].items()}
+        m = _strict_int(obj["m"], "m")
+        assignment = {
+            _strict_int(v, "vertex", key=True): _strict_int(d, "district")
+            for v, d in obj["assignment"].items()
+        }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidGraphError(f"malformed partition object: {exc}") from exc
     return Partition.from_dict(m, assignment)

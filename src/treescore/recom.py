@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .graphs import EmbeddedMultiGraph, induced_subgraph
+from .graphs import EmbeddedMultiGraph, _strict_int, induced_subgraph
 from .partition import (
     Partition,
     PartitionError,
@@ -74,10 +74,11 @@ class ChainConfig:
     tree_sampler: str = "wilson"
 
     def __post_init__(self):
-        for name in ("steps", "seed", "balance_tolerance", "max_resample"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise RecomError(f"{name} must be an integer, not {value!r}")
+        try:
+            for name in ("steps", "seed", "balance_tolerance", "max_resample"):
+                _strict_int(getattr(self, name), name)
+        except TypeError as exc:
+            raise RecomError(str(exc)) from None
         if self.steps < 0:
             raise RecomError("steps must be non-negative")
         if self.balance_tolerance < 0:

@@ -23,10 +23,10 @@ rebuild. Each graph has one engine, built on first use and kept with the
 graph (:func:`graph_engine`), and every exact run on it edits a copy: the
 runs of a lemma32 report and the plans of an eq4 report share G's engine.
 Above the threshold r is a float from a dense solve of the Laplacian
-grounded at one endpoint (``_linalg.grounded_resistance``, shared with float
-resistances). Both modes go through one step, ``_RunState.resistance``,
-which also decides the forced moves: self-loops, r = 1, and float values
-within ``FLOAT_FORCED_TOL`` of 0 or 1.
+grounded at one endpoint (``_linalg.grounded_resistance``). Both modes go
+through one step, ``_RunState.resistance``, which also decides the forced
+moves: self-loops, r = 1, and float values within ``FLOAT_FORCED_TOL`` of 0
+or 1.
 
 Every run is one loop, ``_run``, told by two callables which edge comes next
 and what to do with it. A sampled tree selects by ``EdgePolicy`` and flips

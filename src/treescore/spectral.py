@@ -16,16 +16,13 @@ modulo word-size primes, CRT, and a spare-prime check, which turns an O(n^3)
 big-integer determinant into O(n b^2) word operations per prime for
 bandwidth b. Both give the same integer.
 
-Dense matrices here are built by ``_linalg.reduced_laplacian``, which fixes
-the rules once: the grounded vertex is left out of the kept list, self-loops
-are skipped and parallel edges add up.
-
-A unit flow from s to t is exact up to ``EXACT_FLOW_THRESHOLD`` vertices:
-its voltages are columns s and t of the grounded adjugate, read from one
-``_adjugate.TreeCountEngine``, over the tree count. Above it they come from
-one float solve (``_linalg.unit_voltages``). A resistance needs no flow: up
-to the same threshold it is the exact tree ratio, above it one float solve
-(``_linalg.grounded_resistance``), the one the sampler's float step makes.
+A unit flow from s to t is one solve (``_modular.minor_solve``): the
+Laplacian grounded at t is eliminated on its band modulo word primes with
+e_s carried along, and back-substitution gives column s of its adjugate,
+exact by the same checked CRT. The voltages are that column over the tree
+count, and the voltage across an edge is its tree-ratio resistance. So
+every flow and resistance is an exact ``Fraction`` or is refused with
+``MinorTooLargeError``.
 """
 
 from __future__ import annotations
@@ -34,12 +31,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._adjugate import TreeCountEngine
-from ._linalg import grounded_resistance, laplacian_minor_det, log2_int, unit_voltages
-from ._modular import minor_det
+from ._linalg import laplacian_minor_det, log2_int
+from ._modular import minor_det, minor_solve
 from .graphs import EmbeddedMultiGraph, _UnionFind
 
-EXACT_FLOW_THRESHOLD = 64
 # Minors of at least this many rows go to banded modular elimination; below
 # it Bareiss is faster, because the modular path's fixed cost dominates.
 MODULAR_MINOR_ROWS = 32
@@ -66,15 +61,14 @@ class FlowSolution:
 
     source: int
     sink: int
-    voltages: dict[int, Fraction] | dict[int, float]
-    currents: dict[int, Fraction] | dict[int, float]
-    exact: bool
+    voltages: dict[int, Fraction]
+    currents: dict[int, Fraction]
 
 
 @dataclass(frozen=True)
 class ResistanceResult:
     edge: int
-    exact: Fraction | None
+    exact: Fraction
     approx: float
     method: str
 
@@ -144,72 +138,45 @@ def resistance_fraction(g: EmbeddedMultiGraph, e: int) -> Fraction:
     return Fraction(containing, total)
 
 
-def solve_flow(
-    g: EmbeddedMultiGraph,
-    source: int,
-    sink: int,
-    exact: bool | None = None,
-) -> FlowSolution:
-    """Voltages and currents for one unit of current from source to sink.
+def solve_flow(g: EmbeddedMultiGraph, source: int, sink: int) -> FlowSolution:
+    """Exact voltages and currents for one unit of current from source to sink.
 
-    Exact below the size threshold: two columns of the grounded adjugate,
-    from one ``TreeCountEngine``, over the tree count. Otherwise one dense
-    float solve with the sink grounded.
+    One solve grounded at the sink gives column ``source`` of the adjugate;
+    over the tree count it is the voltages. Raises
+    ``DisconnectedGraphError`` for a disconnected graph and
+    ``MinorTooLargeError`` for a minor too large to solve.
     """
     if source == sink:
         raise ValueError("source and sink must differ")
-    verts = g.vertices
     if source not in g._rotation or sink not in g._rotation:
         raise ValueError("source/sink not in graph")
-    if not g.is_connected():
+    tau, column = minor_solve(g.vertices, _endpoint_iter(g), {sink}, source)
+    if tau == 0:
         raise DisconnectedGraphError("graph is not connected")
-    if exact is None:
-        exact = g.num_vertices <= EXACT_FLOW_THRESHOLD
-
-    kept = [v for v in verts if v != sink]
-    if exact:
-        engine = TreeCountEngine(set(verts), g.edges_dict())
-        a_s = engine.adjugate_column(source)
-        a_t = engine.adjugate_column(sink)
-        shift = a_t.get(sink, 0) - a_s.get(sink, 0)
-        voltages: dict = {
-            v: Fraction(a_s.get(v, 0) - a_t.get(v, 0) + shift, engine.tau) for v in kept
-        }
-        voltages[sink] = Fraction(0)
-    else:
-        x = unit_voltages(kept, _endpoint_iter(g), kept.index(source))
-        voltages = {v: float(xv) for v, xv in zip(kept, x)}
-        voltages[sink] = 0.0
-
-    currents: dict = {}
+    voltages = {v: Fraction(column[v], tau) for v in g.vertices if v != sink}
+    voltages[sink] = Fraction(0)
+    currents = {}
     for e in g.edge_ids:
         u, v = g.endpoints(e)
-        currents[e] = voltages[u] - voltages[v] if u != v else voltages[u] * 0
-    return FlowSolution(source=source, sink=sink, voltages=voltages, currents=currents, exact=exact)
+        currents[e] = voltages[u] - voltages[v]
+    return FlowSolution(source=source, sink=sink, voltages=voltages, currents=currents)
 
 
 def effective_resistance(
     g: EmbeddedMultiGraph, e: int, method: str = "auto"
 ) -> ResistanceResult:
-    """Effective resistance across edge e.
+    """Exact effective resistance across edge e: :func:`resistance_fraction`.
 
-    method: "tree-ratio" (exact), "laplacian-solve" (the tree-ratio value up
-    to the exact-flow threshold and for a self-loop, one float solve grounded
-    at an endpoint beyond), or "auto" (tree-ratio up to the exact-flow
-    threshold, laplacian-solve beyond).
+    method: "tree-ratio", "laplacian-solve" or "auto" (recorded as
+    "tree-ratio"). Every method returns the same tree ratio, which equals
+    the voltage across e of :func:`solve_flow` grounded at an endpoint.
     """
     if method == "auto":
-        method = "tree-ratio" if g.num_vertices <= EXACT_FLOW_THRESHOLD else "laplacian-solve"
+        method = "tree-ratio"
     if method not in ("tree-ratio", "laplacian-solve"):
         raise ValueError(f"unknown method {method!r}")
-    u, v = g.endpoints(e)
-    if method == "tree-ratio" or u == v or g.num_vertices <= EXACT_FLOW_THRESHOLD:
-        r = resistance_fraction(g, e)
-        return ResistanceResult(edge=e, exact=r, approx=float(r), method=method)
-    if not g.is_connected():
-        raise DisconnectedGraphError("graph is not connected")
-    r = grounded_resistance(g.vertices, _endpoint_iter(g), u, v)
-    return ResistanceResult(edge=e, exact=None, approx=r, method=method)
+    r = resistance_fraction(g, e)
+    return ResistanceResult(edge=e, exact=r, approx=float(r), method=method)
 
 
 class InvalidCycleError(ValueError):

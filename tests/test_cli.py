@@ -154,6 +154,18 @@ def test_count_trees_refuses_rather_than_approximates_a_large_wheel(tmp_path):
     assert "word operations, above the limit" in json.loads(stderr)["error"]
 
 
+def test_resistance_refuses_rather_than_approximates_a_large_wheel(tmp_path):
+    path = tmp_path / "wheel.json"
+    save_graph(wheel(1000), path)  # 1,001 vertices; grounded at a rim vertex, bandwidth ~500
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        "resistance", "--graph", str(path), "--edge", "1000", "--method", "laplacian-solve"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (1, "")
+    assert "word operations, above the limit" in json.loads(stderr)["error"]
+
+
 def test_resistance_exact_string(grid_file):
     code, stdout, _ = run_cli("resistance", "--graph", grid_file, "--edge", "0")
     assert code == 0
@@ -301,6 +313,57 @@ def test_recom_malformed_config_is_an_input_error(grid44_file, partition44_file,
     )
     assert (code, stdout) == (1, "")
     assert len(stderr.splitlines()) == 1 and json.loads(stderr)["error"]
+
+
+HALVES = {str(v): 0 if v % 4 < 2 else 1 for v in range(16)}  # a valid plan of the 4x4 grid
+
+
+@pytest.mark.parametrize("m", [100000, 17, 0, -3])
+def test_recom_refuses_m_outside_one_to_the_vertex_count(grid44_file, tmp_path, m):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"m": m, "assignment": HALVES}))
+    code, stdout, stderr = run_cli(
+        "recom", "--graph", grid44_file, "--partition", str(path), "--steps", "2", "--seed", "1"
+    )
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1 and len(stderr) < 200
+    assert f"m = {m} is not between 1 and the 16 vertices" in json.loads(stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [(("vertices", 0), 0.2), (("edges", 0, "u"), 0.7), (("edges", 0, "v"), True),
+     (("edges", 0, "id"), "0"), (("rotation", "0", 0, 1), False)],
+    ids=["float-vertex", "float-end", "bool-end", "string-id", "bool-side"],
+)
+def test_count_trees_refuses_a_graph_id_that_is_not_an_integer(tmp_path, path, value):
+    graph = json.loads(graph_to_json_str(make_grid(3, 3)))
+    target = graph
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "g.json"
+    file.write_text(json.dumps(graph))
+    code, stdout, stderr = run_cli("count-trees", "--graph", str(file))
+    assert (code, stdout) == (1, "")
+    assert "malformed graph object" in json.loads(stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [{"m": 2.9, "assignment": HALVES},
+     {"m": 2, "assignment": {**HALVES, "2": 1.8}},
+     {"m": 2, "assignment": {**{k: d for k, d in HALVES.items() if k != "0"}, "00": 0}}],
+    ids=["float-m", "float-district", "padded-key"],
+)
+def test_recom_refuses_a_partition_number_that_is_not_an_integer(grid44_file, tmp_path, partition):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(partition))
+    code, stdout, stderr = run_cli(
+        "recom", "--graph", grid44_file, "--partition", str(path), "--steps", "2", "--seed", "1"
+    )
+    assert (code, stdout) == (1, "")
+    assert "malformed partition object" in json.loads(stderr)["error"]
 
 
 def test_recom_requires_plan(grid44_file, partition44_file):

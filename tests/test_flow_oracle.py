@@ -1,23 +1,24 @@
 """Exact unit flows and adjugate columns against Fraction Gaussian elimination.
 
-The oracle below is the exact flow solver as it was before flows were read
-from the tree-count engine: the Laplacian grounded at the sink, in
-``Fraction`` entries, solved by Gaussian elimination with partial pivoting.
-``solve_flow(..., exact=True)`` must give the same voltages and currents, and
-``TreeCountEngine.adjugate_column`` must give ``tau`` times the oracle's
-solution of ``L0 x = e_x`` with L0 grounded at the least vertex, also after
-edits and rebuilds forced by a small prime pool.
+The oracle below is the Laplacian grounded at the sink, in ``Fraction``
+entries, solved by Gaussian elimination with partial pivoting.
+``solve_flow`` must give the same voltages and currents, and
+``_modular.minor_solve`` must give the minor's determinant times the
+oracle's solution of ``L0 x = e_source``, also when a small prime pool forces
+primes that meet a zero pivot to be replaced.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_tree_engine import SMALL_PRIMES, edit_and_check, small_prime_state
+from test_tree_engine import SMALL_PRIMES
 
-from treescore import make_grid, solve_flow
-from treescore._adjugate import TreeCountEngine
-from treescore.fixtures import random_planar_multigraph
+from treescore import _modular, make_grid, resistance_fraction, solve_flow
+from treescore._linalg import laplacian_minor_det
+from treescore.fixtures import make_cycle, random_planar_multigraph
+from treescore.spectral import effective_resistance
 
 
 def solve_rational(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -79,12 +80,18 @@ def oracle_flow(g, source, sink):
 
 
 def assert_flow_matches(g, source, sink):
-    flow = solve_flow(g, source, sink, exact=True)
+    flow = solve_flow(g, source, sink)
     voltages, currents = oracle_flow(g, source, sink)
-    assert flow.exact
     assert list(flow.voltages.items()) == list(voltages.items())
     assert flow.currents == currents
     assert all(type(x) is Fraction for x in (*flow.voltages.values(), *flow.currents.values()))
+
+
+def pick_pair(verts, pick):
+    """Two distinct vertices chosen by ``pick``."""
+    n = len(verts)
+    i = pick % n
+    return verts[i], verts[(i + 1 + (pick // n) % (n - 1)) % n]
 
 
 MULTIGRAPHS = st.builds(
@@ -95,11 +102,10 @@ MULTIGRAPHS = st.builds(
 @given(g=MULTIGRAPHS, pick=st.integers(0, 10**6), least=st.sampled_from(("source", "sink", None)))
 @settings(max_examples=60)
 def test_exact_flow_matches_oracle(g, pick, least):
-    """Loops and parallel edges included; the least vertex is the engine's ground."""
+    """Loops and parallel edges included, and the least vertex as source or sink."""
     verts = g.vertices
     n = len(verts)
-    i = pick % n
-    source, sink = verts[i], verts[(i + 1 + (pick // n) % (n - 1)) % n]
+    source, sink = pick_pair(verts, pick)
     if least == "source":
         source, sink = verts[0], verts[1 + pick % (n - 1)]
     elif least == "sink":
@@ -113,38 +119,67 @@ def test_exact_flow_matches_oracle_on_a_grid():
         assert_flow_matches(g, source, sink)
 
 
-def assert_columns_match(state):
-    engine = state._engine
-    edges = state.edges.values()
-    ground = min(state.vertices)
-    for x in sorted(state.vertices):
-        voltages = grounded_solve(state.vertices, edges, ground, x)
-        assert engine.adjugate_column(x) == {v: engine.tau * r for v, r in voltages.items()}
+@pytest.mark.parametrize("pool", [None, SMALL_PRIMES], ids=["word-primes", "small-primes"])
+def test_solve_column_is_det_times_oracle(monkeypatch, pool):
+    replaced = []
+    eliminate = _modular._eliminate
+
+    def spy(*args):
+        residues, zero = eliminate(*args)
+        replaced.extend(zero)
+        return residues, zero
+
+    monkeypatch.setattr(_modular, "_eliminate", spy)
+
+    @given(g=MULTIGRAPHS, pick=st.integers(0, 10**6))
+    @settings(max_examples=60)
+    def check(g, pick):
+        verts = g.vertices
+        edges = list(g.edges_dict().values())
+        source, ground = pick_pair(verts, pick)
+        det, column = _modular.minor_solve(verts, edges, {ground}, source, primes=pool)
+        assert det == laplacian_minor_det(verts, edges, {ground})
+        oracle = grounded_solve(verts, edges, ground, source)
+        assert column == {v: det * x for v, x in oracle.items()}
+
+    check()
+    if pool is not None:
+        assert replaced  # some prime below 200 met a zero pivot and was replaced
 
 
-@given(
-    seed=st.integers(0, 10**6),
-    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=4),
-)
-@settings(max_examples=40)
-def test_adjugate_columns_match_oracle_under_edits(seed, ops):
-    state = small_prime_state(random_planar_multigraph(seed, 8))
-    edit_and_check(state, ops, check=assert_columns_match)
+def test_flow_past_64_vertices_is_exact():
+    g = make_grid(9, 9)
+    ends = g.edges_dict()
+    for e in (0, 40, 100):
+        s, t = ends[e]
+        flow = solve_flow(g, s, t)
+        assert all(type(x) is Fraction for x in (*flow.voltages.values(), *flow.currents.values()))
+        net = dict.fromkeys(g.vertices, Fraction(0))  # current out of each vertex
+        for f, (u, v) in ends.items():
+            net[u] += flow.currents[f]
+            net[v] -= flow.currents[f]
+        assert net == {**dict.fromkeys(g.vertices, 0), s: 1, t: -1}
+        r = resistance_fraction(g, e)
+        assert flow.voltages[s] - flow.voltages[t] == r
+        for method in ("tree-ratio", "laplacian-solve", "auto"):
+            assert effective_resistance(g, e, method).exact == r
 
 
-def test_adjugate_columns_match_oracle_after_a_rebuild():
-    state = small_prime_state(make_grid(5, 4))
-    before = state._engine._mods
-    state.contract(2)  # 17 and then 61 divide the new tau: two rebuilds
-    assert state._engine._mods != before
-    assert_columns_match(state)
+def test_solve_refuses_rows_past_the_memory_limit(monkeypatch):
+    g = make_grid(9, 9)  # 80 rows, bandwidth 9: 11 words a row per prime
+    monkeypatch.setattr(_modular, "MAX_SOLVE_WORDS", 80 * 11 * 2)
+    with monkeypatch.context() as m:
+        m.setattr(_modular, "_eliminate", None)  # refused before any elimination
+        with pytest.raises(_modular.MinorTooLargeError, match=r"words \(limit"):
+            solve_flow(g, 0, 80)
+    assert _modular.minor_det(g.vertices, g.edges_dict().values(), {80}) > 0  # counts keep no rows
 
 
-def test_adjugate_column_entries_are_bounded_two_forest_counts():
-    g = make_grid(3, 3)
-    engine = TreeCountEngine(set(g.vertices), g.edges_dict(), primes=SMALL_PRIMES)
-    assert engine.adjugate_column(0) == dict.fromkeys(range(1, 9), 0)
-    diagonal = {x: engine.adjugate_column(x)[x] for x in range(1, 9)}
-    for x in range(1, 9):
-        column = engine.adjugate_column(x)
-        assert all(0 <= column[w] <= diagonal[w] for w in column)
+def test_solve_refuses_recoveries_past_the_work_limit(monkeypatch):
+    g = make_cycle(200)  # grounded: a path of 199 rows, bandwidth 1, over 8 primes
+    monkeypatch.setattr(_modular, "MAX_MINOR_WORK", 10_000)  # a count needs 199 * 4 * 8
+    with monkeypatch.context() as m:
+        m.setattr(_modular, "_eliminate", None)  # refused before any elimination
+        with pytest.raises(_modular.MinorTooLargeError, match="with its 199 recoveries"):
+            solve_flow(g, 0, 1)  # 199 * 8 * (4 + 8) word operations
+    assert _modular.minor_det(g.vertices, g.edges_dict().values(), {1}) == 200

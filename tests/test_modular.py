@@ -53,8 +53,8 @@ def test_tiny_primes_are_replaced_after_a_zero_pivot(monkeypatch):
     replaced = []
     eliminate = _modular._eliminate
 
-    def spy(low, n, b, primes):
-        residues, zero = eliminate(low, n, b, primes)
+    def spy(*args):
+        residues, zero = eliminate(*args)
         replaced.extend(zero)
         return residues, zero
 
@@ -81,8 +81,8 @@ def test_corrupted_spare_residue_raises(monkeypatch):
     g = make_grid(4, 4)
     eliminate = _modular._eliminate
 
-    def corrupt(low, n, b, primes):
-        residues, zero = eliminate(low, n, b, primes)
+    def corrupt(low, n, b, primes, *stored):
+        residues, zero = eliminate(low, n, b, primes, *stored)
         residues[-1] = (residues[-1] + 1) % primes[-1]
         return residues, zero
 

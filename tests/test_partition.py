@@ -234,6 +234,8 @@ def test_partition_json_malformed():
 def subgraph_oracle_problems(g, p, tolerance):
     """The tolerant check with connectivity decided on the induced subgraph."""
     n = g.num_vertices
+    if not 1 <= p.m <= n:  # refused before any district is built
+        return [f"m = {p.m} is not between 1 and the {n} vertices"]
     assigned = {v for v, _ in p.assignment}
     verts = set(g.vertices)
     if assigned != verts:

@@ -1,19 +1,24 @@
-"""Seeded chain runs and Wilson trees pinned by digest.
+"""Seeded chain runs, Wilson trees and CLI resistances pinned by digest.
 
-The digests were written by commit ef3255f. Every draw of the chain comes from
-one seeded ``random.Random``, so any change to how a step consumes that stream
-(the walk's draws, the order of resamples, the choice among balance edges)
-changes these bytes, and this test fails even where the chain's distribution
-would be unchanged.
+The chain and Wilson digests were written by commit ef3255f. Every draw of
+the chain comes from one seeded ``random.Random``, so any change to how a
+step consumes that stream (the walk's draws, the order of resamples, the
+choice among balance edges) changes these bytes, and this test fails even
+where the chain's distribution would be unchanged. The resistance digests pin the CLI's ``resistance``
+output, every edge under every ``--method``, on graphs of at most 64
+vertices, so a change of route cannot move a byte there.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from random import Random
 
 import pytest
 
-from treescore import ChainConfig, Partition, make_grid, run_chain, sample_tree_wilson
+from treescore import ChainConfig, Partition, make_grid, run_chain, sample_tree_wilson, save_graph
+from treescore.cli import main
 from treescore.fixtures import _add_parallel, make_twelve_county, random_planar_multigraph
 
 CHAIN_DIGESTS = {
@@ -27,6 +32,12 @@ WILSON_DIGESTS = {
     "twelve_county": "140b83e6d75483bf8810191b3cb75dd06e04e9450aaa1e48c29d29fed61be0d6",
     "grid5x4_parallel": "d73d0367c5bd97bb751fe17faaf4f8d489606bff6285bf33177f17be46297f11",
     "random_planar_6": "15310515edd6f524df32fa7c748bd6a23eb904184198fa08ce688060e7411463",
+}
+
+RESISTANCE_DIGESTS = {
+    "twelve_county": "400ad3992acae28e76816a375ae316a9fc63e0b1a755b83a489d6bc2c4de31f2",
+    "grid5x4_parallel": "9ee9de51b15f322bd630603b12b143bdb1798f7c1f4c761428c1091137a06ba0",
+    "random_planar_221": "2a6658fc6dc890716814b0a3463e52426c05057358f636863843c2e547593aca",
 }
 
 
@@ -65,3 +76,24 @@ def test_sample_tree_wilson_bytes(name):
     # the state after the draws pins how many draws the walks consumed
     text = json.dumps(trees) + repr(rng.getstate())
     assert _sha(text) == WILSON_DIGESTS[name]
+
+
+def resistance_graphs():
+    graphs = wilson_graphs()
+    del graphs["random_planar_6"]
+    graphs["random_planar_221"] = random_planar_multigraph(221, max_vertices=12)  # loops, parallels
+    return graphs
+
+
+@pytest.mark.parametrize("name", sorted(RESISTANCE_DIGESTS))
+def test_resistance_cli_bytes(tmp_path, name):
+    g = resistance_graphs()[name]
+    path = tmp_path / "g.json"
+    save_graph(g, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for e in g.edge_ids:
+            for method in ("auto", "tree-ratio", "laplacian-solve"):
+                assert main(["resistance", "--graph", str(path), "--edge", str(e),
+                             "--method", method]) == 0
+    assert _sha(out.getvalue()) == RESISTANCE_DIGESTS[name]

@@ -129,12 +129,7 @@ def test_resistance_methods_agree():
             approx = effective_resistance(g, e, method="laplacian-solve")
             assert exact.exact == resistance_fraction(g, e)
             assert approx.exact == exact.exact
-            assert abs(float(exact.exact) - approx.approx) < 1e-9
-    g = make_grid(9, 9)  # above the exact-flow threshold: one float solve
-    for e in (0, 40, 100):
-        approx = effective_resistance(g, e, method="laplacian-solve")
-        assert approx.exact is None
-        assert abs(float(resistance_fraction(g, e)) - approx.approx) < 1e-9
+            assert approx.approx == float(exact.exact)
 
 
 def test_resistance_known_values(diamond):
@@ -182,7 +177,6 @@ def test_solve_flow_consistent_with_resistance(grid33):
     for e in (0, 5, 11):
         u, v = grid33.endpoints(e)
         flow = solve_flow(grid33, u, v)
-        assert flow.exact
         assert resistance_fraction(grid33, e) == flow.voltages[u] - flow.voltages[v]
 
 
@@ -221,8 +215,7 @@ def test_district_scores_multiply(twelve_county):
     assert sorted(scores) == [3, 8, 8]
 
 
-# The float consumers of the reduced-Laplacian builder against exact answers
-# on multigraphs with parallel edges and self-loops.
+# Multigraphs with parallel edges and self-loops.
 MULTIGRAPHS = st.builds(
     random_planar_multigraph, st.integers(0, 10**6), st.sampled_from((8, 12))
 )
@@ -246,20 +239,8 @@ def test_a_disconnected_graph_counts_zero_without_a_connectivity_check(a, b):
         for rows in (1, g.num_vertices):  # modular elimination, then Bareiss
             with patch.object(spectral, "MODULAR_MINOR_ROWS", rows):
                 assert count_spanning_trees(g) == TreeCount(0, True, None)
-
-
-@given(g=MULTIGRAPHS, pick=st.integers(0, 10**6))
-@settings(max_examples=60)
-def test_float_flow_matches_exact(g, pick):
-    verts = g.vertices
-    n = len(verts)
-    i = pick % n
-    source, sink = verts[i], verts[(i + 1 + (pick // n) % (n - 1)) % n]
-    exact = solve_flow(g, source, sink, exact=True)
-    approx = solve_flow(g, source, sink, exact=False)
-    assert not approx.exact
-    for v in verts:
-        assert approx.voltages[v] == pytest.approx(float(exact.voltages[v]), abs=1e-9)
+        with pytest.raises(DisconnectedGraphError):  # the solve's minor is singular too
+            solve_flow(g, g.vertices[0], g.vertices[-1])
 
 
 @given(g=MULTIGRAPHS, seed=st.integers(0, 10**6))
