@@ -103,10 +103,9 @@ def _cmd_resistance(args) -> int:
     g = load_graph(args.graph)
     if args.edge not in g.edges_dict():
         raise UsageError(f"edge {args.edge} is not in the graph")
-    res = effective_resistance(g, args.edge, method=args.method)
+    res = effective_resistance(g, args.edge)
     payload = {
         "edge": res.edge,
-        "method": res.method,
         "approx": res.approx,
         "resistance": _num(res.exact),
     }
@@ -198,7 +197,6 @@ def _cmd_recom(args) -> int:
             seed=args.seed,
             balance_tolerance=args.balance_tolerance,
             max_resample=args.max_resample,
-            tree_sampler=args.tree_sampler,
         )
     stats = run_chain(g, p0, cfg)
     if args.histogram:
@@ -306,11 +304,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("resistance", help="effective resistance of one edge")
     _add_graph(p)
     p.add_argument("--edge", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("auto", "tree-ratio", "laplacian-solve"),
-        default="auto",
-    )
     _add_output(p)
     p.set_defaults(func=_cmd_resistance)
 
@@ -350,7 +343,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--balance-tolerance", type=int, default=0)
     p.add_argument("--max-resample", type=int, default=64)
-    p.add_argument("--tree-sampler", choices=("wilson", "alg1"), default="wilson")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--histogram", help="write the partition histogram JSON here")
     _add_output(p)

@@ -34,7 +34,20 @@ class Partition:
 
     @classmethod
     def from_dict(cls, m: int, assignment: dict[int, int]) -> "Partition":
-        return cls(m=m, assignment=tuple(sorted((int(v), int(d)) for v, d in assignment.items())))
+        """The partition assigning each vertex to its district.
+
+        ``m``, every vertex and every district must be an ``int`` that is
+        not a ``bool``; anything else raises :class:`PartitionError`.
+        """
+        try:
+            m = _strict_int(m, "m")
+            pairs = sorted(
+                (_strict_int(v, "vertex"), _strict_int(d, "district"))
+                for v, d in assignment.items()
+            )
+        except TypeError as exc:
+            raise PartitionError(str(exc)) from None
+        return cls(m=m, assignment=tuple(pairs))
 
     @classmethod
     def from_districts(cls, districts) -> "Partition":
@@ -373,15 +386,14 @@ def partition_to_json(p: Partition) -> dict:
 
 
 def partition_from_json(obj: dict) -> Partition:
+    """The partition of a JSON object; :meth:`Partition.from_dict` checks its values."""
     try:
-        m = _strict_int(obj["m"], "m")
-        assignment = {
-            _strict_int(v, "vertex", key=True): _strict_int(d, "district")
-            for v, d in obj["assignment"].items()
-        }
+        return Partition.from_dict(
+            obj["m"],
+            {_strict_int(v, "vertex", key=True): d for v, d in obj["assignment"].items()},
+        )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidGraphError(f"malformed partition object: {exc}") from exc
-    return Partition.from_dict(m, assignment)
 
 
 def save_partition(p: Partition, path) -> None:

@@ -9,10 +9,9 @@ budget, after which the step is skipped and the partition left unchanged.
 Cutting a spanning tree guarantees both new districts are connected.
 
 The chain is driven by a single seeded generator, so runs are deterministic
-given ``(graph, start, config)``. Two tree samplers are available: the
-loop-erased random-walk sampler (``"wilson"``, default) and the
-resistance-driven sampler (``"alg1"``); both draw uniformly, so the chain's
-distribution does not depend on the choice.
+given ``(graph, start, config)``. Every tree is drawn by Wilson's
+loop-erased random walk. The chain's law depends only on each tree being
+uniform, not on how it is drawn.
 
 How closely the chain's empirical distribution tracks the spanning-tree-score
 distribution is reported by callers as a diagnostic only; nothing here asserts
@@ -33,11 +32,10 @@ from .partition import (
     check_tolerant_partition,
     cut_edges,
 )
-from .sampler import _walk_incidence, _wilson_walk, sample_tree_resistance
+from .sampler import _walk_incidence, _wilson_walk
 
 __all__ = [
     "RecomError",
-    "TREE_SAMPLERS",
     "ChainConfig",
     "StepResult",
     "SampleRecord",
@@ -48,9 +46,6 @@ __all__ = [
     "recom_step",
     "run_chain",
 ]
-
-
-TREE_SAMPLERS = ("wilson", "alg1")
 
 
 class RecomError(ValueError):
@@ -64,14 +59,14 @@ class ChainConfig:
     ``balance_tolerance`` is the largest allowed deviation of a district's
     vertex count from ``|V|/m`` (compared exactly: a size ``s`` qualifies when
     ``|s*m - |V|| <= tolerance * m``). ``max_resample`` caps the number of
-    spanning trees drawn per step before the step is skipped.
+    spanning trees drawn per step before the step is skipped. Every tree is
+    drawn by Wilson's walk.
     """
 
     steps: int
     seed: int
     balance_tolerance: int = 0
     max_resample: int = 64
-    tree_sampler: str = "wilson"
 
     def __post_init__(self):
         try:
@@ -85,11 +80,6 @@ class ChainConfig:
             raise RecomError("balance tolerance must be non-negative")
         if self.max_resample < 1:
             raise RecomError("resample budget must be at least 1")
-        if self.tree_sampler not in TREE_SAMPLERS:
-            raise RecomError(
-                f"unknown tree sampler {self.tree_sampler!r}; "
-                f"choose from {', '.join(TREE_SAMPLERS)}"
-            )
 
     def to_json(self) -> dict:
         return {
@@ -97,7 +87,6 @@ class ChainConfig:
             "seed": self.seed,
             "balance-tolerance": self.balance_tolerance,
             "max-resample": self.max_resample,
-            "tree-sampler": self.tree_sampler,
         }
 
     @classmethod
@@ -114,7 +103,7 @@ class ChainConfig:
             return default
 
         known = set()
-        for name in ("steps", "seed", "balance-tolerance", "max-resample", "tree-sampler"):
+        for name in ("steps", "seed", "balance-tolerance", "max-resample"):
             known.add(name)
             known.add(name.replace("-", "_"))
         unknown = sorted(set(obj) - known)
@@ -125,7 +114,6 @@ class ChainConfig:
             seed=pick("seed", None),
             balance_tolerance=pick("balance-tolerance", 0),
             max_resample=pick("max-resample", 64),
-            tree_sampler=pick("tree-sampler", "wilson"),
         )
 
     @classmethod
@@ -301,13 +289,9 @@ def _step(
     merged = blocks[da] | blocks[db]
     sub = induced_subgraph(g, merged)
     n, m = g.num_vertices, p.m
-    if cfg.tree_sampler == "wilson":
-        incident = _walk_incidence(sub)  # unchecked: sub joins two connected districts
+    incident = _walk_incidence(sub)  # unchecked: sub joins two connected districts
     for attempt in range(1, cfg.max_resample + 1):
-        if cfg.tree_sampler == "wilson":
-            tree = _wilson_walk(incident, rng)
-        else:
-            tree = sample_tree_resistance(sub, rng=rng).tree
+        tree = _wilson_walk(incident, rng)
         candidates = balance_edges(sub, tree, n, m, cfg.balance_tolerance)
         if candidates:
             # balance_edges roots the tree at min(merged), so the root side is the low side.

@@ -70,7 +70,6 @@ class ResistanceResult:
     edge: int
     exact: Fraction
     approx: float
-    method: str
 
 
 class DisconnectedGraphError(ValueError):
@@ -162,21 +161,14 @@ def solve_flow(g: EmbeddedMultiGraph, source: int, sink: int) -> FlowSolution:
     return FlowSolution(source=source, sink=sink, voltages=voltages, currents=currents)
 
 
-def effective_resistance(
-    g: EmbeddedMultiGraph, e: int, method: str = "auto"
-) -> ResistanceResult:
+def effective_resistance(g: EmbeddedMultiGraph, e: int) -> ResistanceResult:
     """Exact effective resistance across edge e: :func:`resistance_fraction`.
 
-    method: "tree-ratio", "laplacian-solve" or "auto" (recorded as
-    "tree-ratio"). Every method returns the same tree ratio, which equals
-    the voltage across e of :func:`solve_flow` grounded at an endpoint.
+    It equals the voltage across e of :func:`solve_flow` grounded at an
+    endpoint; ``approx`` is its float.
     """
-    if method == "auto":
-        method = "tree-ratio"
-    if method not in ("tree-ratio", "laplacian-solve"):
-        raise ValueError(f"unknown method {method!r}")
     r = resistance_fraction(g, e)
-    return ResistanceResult(edge=e, exact=r, approx=float(r), method=method)
+    return ResistanceResult(edge=e, exact=r, approx=float(r))
 
 
 class InvalidCycleError(ValueError):

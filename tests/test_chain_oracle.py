@@ -274,13 +274,13 @@ def assert_cut_sizes_rescanned(g, p, cfg):
         assert sample.digest == q.digest()
 
 
-@pytest.mark.parametrize("sampler", ["wilson", "alg1"])
+@pytest.mark.parametrize("sampler", ["wilson"])  # the walk every step draws with
 @pytest.mark.parametrize("tolerance", [0, 1])
 @pytest.mark.parametrize("w,h,m", [(4, 4, 2), (6, 6, 4), (6, 5, 3)])
 def test_chain_cut_sizes_on_grids(w, h, m, tolerance, sampler):
     g = make_grid(w, h)
     p = next(enumerate_partitions(g, m, max_vertices=g.num_vertices))
-    cfg = ChainConfig(steps=25, seed=w * h + m, balance_tolerance=tolerance, tree_sampler=sampler)
+    cfg = ChainConfig(steps=25, seed=w * h + m, balance_tolerance=tolerance)
     assert_cut_sizes_rescanned(g, p, cfg)
 
 
@@ -290,12 +290,11 @@ def test_chain_cut_sizes_on_grids(w, h, m, tolerance, sampler):
     copies=st.integers(0, 4),
     chain_seed=st.integers(0, 2**31),
     tolerance=st.integers(0, 1),
-    sampler=st.sampled_from(["wilson", "alg1"]),
     data=st.data(),
 )
 @settings(max_examples=60)
 def test_chain_cut_sizes_on_planar_multigraphs(
-    seed, size, copies, chain_seed, tolerance, sampler, data
+    seed, size, copies, chain_seed, tolerance, data
 ):
     g = random_planar_multigraph(seed, max_vertices=size)
     g = with_parallels(g, data.draw(st.sampled_from(g.vertices)), copies)
@@ -304,5 +303,5 @@ def test_chain_cut_sizes_on_planar_multigraphs(
     start = next(enumerate_partitions(g, m), None) if m else None
     if start is None:
         return  # no balanced plan to start from
-    cfg = ChainConfig(steps=15, seed=chain_seed, balance_tolerance=tolerance, tree_sampler=sampler)
+    cfg = ChainConfig(steps=15, seed=chain_seed, balance_tolerance=tolerance)
     assert_cut_sizes_rescanned(g, start, cfg)

@@ -158,9 +158,7 @@ def test_resistance_refuses_rather_than_approximates_a_large_wheel(tmp_path):
     path = tmp_path / "wheel.json"
     save_graph(wheel(1000), path)  # 1,001 vertices; grounded at a rim vertex, bandwidth ~500
     start = time.perf_counter()
-    code, stdout, stderr = run_cli(
-        "resistance", "--graph", str(path), "--edge", "1000", "--method", "laplacian-solve"
-    )
+    code, stdout, stderr = run_cli("resistance", "--graph", str(path), "--edge", "1000")
     assert time.perf_counter() - start < 1.0
     assert (code, stdout) == (1, "")
     assert "word operations, above the limit" in json.loads(stderr)["error"]
@@ -171,7 +169,6 @@ def test_resistance_exact_string(grid_file):
     assert code == 0
     data = json.loads(stdout)
     assert data["resistance"] == "17/24"
-    assert data["method"] == "tree-ratio"
     assert data["approx"] == pytest.approx(17 / 24)
 
 
@@ -291,13 +288,39 @@ def test_recom_json_format(grid44_file, partition44_file):
 
 def test_recom_config_file(grid44_file, partition44_file, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"steps": 8, "seed": 2, "tree-sampler": "wilson"}')
+    cfg.write_text('{"steps": 8, "seed": 2}')
     code, stdout, _ = run_cli(
         "recom", "--graph", grid44_file, "--partition", partition44_file,
         "--config", str(cfg),
     )
     assert code == 0
     assert len(stdout.strip().splitlines()) == 10
+
+
+@pytest.mark.parametrize(
+    "deleted", ["recom-tree-sampler", "resistance-method", "config-tree-sampler"]
+)
+def test_deleted_options_are_refused(grid44_file, partition44_file, tmp_path, deleted):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"steps": 2, "seed": 1, "tree-sampler": "wilson"}')
+    recom = ["recom", "--graph", grid44_file, "--partition", partition44_file]
+    argv, message = {
+        "recom-tree-sampler": (
+            [*recom, "--steps", "2", "--seed", "1", "--tree-sampler", "wilson"],
+            "unrecognized arguments: --tree-sampler wilson",
+        ),
+        "resistance-method": (
+            ["resistance", "--graph", grid44_file, "--edge", "0", "--method", "tree-ratio"],
+            "unrecognized arguments: --method tree-ratio",
+        ),
+        "config-tree-sampler": (
+            [*recom, "--config", str(config)], "unknown config fields: tree-sampler"
+        ),
+    }[deleted]
+    code, stdout, stderr = run_cli(*argv)
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1
+    assert message in json.loads(stderr)["error"]
 
 
 @pytest.mark.parametrize(

@@ -75,8 +75,25 @@ def brute_force_partitions(g, m):
 def test_partition_constructors_agree():
     p1 = Partition.from_dict(2, {0: 0, 1: 0, 2: 1, 3: 1})
     p2 = Partition.from_districts([{2, 3}, {0, 1}])
+    assert p1 == p2 == Partition.from_dict(2, {3: 1, 2: 1, 1: 0, 0: 0})
     assert p1.canonical_key() == p2.canonical_key()
     assert p1.digest() == p2.digest()
+
+
+@pytest.mark.parametrize(
+    "m,assignment",
+    [(2, {v: 1.8 if v % 4 >= 2 else 0.2 for v in range(16)}),
+     (2, {v: v % 4 >= 2 for v in range(16)}),
+     (2, {v: str(v % 4 // 2) for v in range(16)}),
+     (2, {float(v): v % 4 // 2 for v in range(16)}),
+     (2.0, {v: v % 4 // 2 for v in range(16)}),
+     (True, {v: 0 for v in range(16)})],
+    ids=["float-district", "bool-district", "string-district", "float-vertex", "float-m",
+         "bool-m"],
+)
+def test_from_dict_refuses_what_is_not_an_integer(m, assignment):
+    with pytest.raises(PartitionError, match="must be an integer"):
+        Partition.from_dict(m, assignment)
 
 
 def test_relabeling_is_invisible():

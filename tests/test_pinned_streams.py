@@ -4,8 +4,8 @@ The chain and Wilson digests were written by commit ef3255f. Every draw of
 the chain comes from one seeded ``random.Random``, so any change to how a
 step consumes that stream (the walk's draws, the order of resamples, the
 choice among balance edges) changes these bytes, and this test fails even
-where the chain's distribution would be unchanged. The resistance digests pin the CLI's ``resistance``
-output, every edge under every ``--method``, on graphs of at most 64
+where the chain's distribution would be unchanged. The resistance digests
+pin the CLI's ``resistance`` output for every edge of graphs of at most 64
 vertices, so a change of route cannot move a byte there.
 """
 
@@ -24,8 +24,6 @@ from treescore.fixtures import _add_parallel, make_twelve_county, random_planar_
 CHAIN_DIGESTS = {
     ("wilson", 0): "73d678e5d0a35b54c4ce953cc0838ade9731b40fcc9a70983e51b3aafd51eb44",
     ("wilson", 1): "4a1f9a3a2635228a8a6349daefd97190deb225b47d49ef3f8456e5a74f3b88ce",
-    ("alg1", 0): "b2fd2e021c4e97e72ef215fbb3c88cce5538cd75051a019e3d898edc86feb2ea",
-    ("alg1", 1): "b779c240955a6451c437b4d793404507201b145752ace6f76effe87a53b5980f",
 }
 
 WILSON_DIGESTS = {
@@ -35,9 +33,9 @@ WILSON_DIGESTS = {
 }
 
 RESISTANCE_DIGESTS = {
-    "twelve_county": "400ad3992acae28e76816a375ae316a9fc63e0b1a755b83a489d6bc2c4de31f2",
-    "grid5x4_parallel": "9ee9de51b15f322bd630603b12b143bdb1798f7c1f4c761428c1091137a06ba0",
-    "random_planar_221": "2a6658fc6dc890716814b0a3463e52426c05057358f636863843c2e547593aca",
+    "twelve_county": "1a10266109859fec1c25d047d1ae896ca04d04d2dbf57670877a351d7eda2b08",
+    "grid5x4_parallel": "9447970c727422669cabe28bcdbe9f74f43a7aeea85912304b59a6d476c010a6",
+    "random_planar_221": "2138e4dd90a8315363ff2ac4ceb751f9aeba5255c2b210ebb114aff4f8eb487d",
 }
 
 
@@ -51,8 +49,7 @@ def quadrants_8x8() -> Partition:
 
 @pytest.mark.parametrize("sampler,tolerance", sorted(CHAIN_DIGESTS))
 def test_run_chain_bytes(sampler, tolerance):
-    cfg = ChainConfig(steps=40, seed=20 + tolerance, balance_tolerance=tolerance,
-                      tree_sampler=sampler)
+    cfg = ChainConfig(steps=40, seed=20 + tolerance, balance_tolerance=tolerance)
     stats = run_chain(make_grid(8, 8), quadrants_8x8(), cfg)
     assert _sha(json.dumps(stats.to_json(), sort_keys=True)) == CHAIN_DIGESTS[sampler, tolerance]
 
@@ -93,7 +90,5 @@ def test_resistance_cli_bytes(tmp_path, name):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         for e in g.edge_ids:
-            for method in ("auto", "tree-ratio", "laplacian-solve"):
-                assert main(["resistance", "--graph", str(path), "--edge", str(e),
-                             "--method", method]) == 0
+            assert main(["resistance", "--graph", str(path), "--edge", str(e)]) == 0
     assert _sha(out.getvalue()) == RESISTANCE_DIGESTS[name]
