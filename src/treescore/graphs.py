@@ -43,7 +43,8 @@ class EmbeddedMultiGraph:
     """Multigraph with an explicit rotation system.
 
     Mutating operations return new graphs; instances are treated as immutable
-    after construction.
+    after construction. ``validate`` refuses every id, end, key or dart that
+    is not an ``int``; derived graphs skip it and keep the dicts they pass.
     """
 
     __slots__ = ("_edges", "_rotation", "labels", "_memo")
@@ -55,14 +56,27 @@ class EmbeddedMultiGraph:
         labels: dict[int, str] | None = None,
         validate: bool = True,
     ):
-        self._edges = {int(e): (int(u), int(v)) for e, (u, v) in edges.items()}
-        self._rotation = {int(v): [(int(e), int(s)) for e, s in rot] for v, rot in rotation.items()}
+        self._edges, self._rotation = edges, rotation
         self.labels = dict(labels) if labels else {}
         self._memo: dict = {}
         if validate:
             self._check_structure()
 
     def _check_structure(self) -> None:
+        """Rebuild every id, end, key and dart by the integer rule, then check the rotation."""
+        try:
+            self._edges = {
+                _strict_int(e, "edge id"): (_strict_int(u, "edge end"), _strict_int(v, "edge end"))
+                for e, (u, v) in self._edges.items()
+            }
+            self._rotation = {
+                _strict_int(v, "rotation key"): [
+                    (_strict_int(e, "dart edge"), _strict_int(s, "dart side")) for e, s in rot
+                ]
+                for v, rot in self._rotation.items()
+            }
+        except (TypeError, ValueError) as exc:
+            raise InvalidGraphError(f"malformed graph object: {exc}") from exc
         seen: dict[Dart, int] = {}
         for v, rot in self._rotation.items():
             for dart in rot:
@@ -135,9 +149,8 @@ class EmbeddedMultiGraph:
         return len(seen) == len(verts)
 
     def copy(self) -> "EmbeddedMultiGraph":
-        return EmbeddedMultiGraph(
-            self._edges, {v: list(r) for v, r in self._rotation.items()}, self.labels, validate=False
-        )
+        rotation = {v: list(r) for v, r in self._rotation.items()}
+        return EmbeddedMultiGraph(dict(self._edges), rotation, self.labels, validate=False)
 
     def __repr__(self) -> str:
         return f"EmbeddedMultiGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
@@ -462,17 +475,10 @@ def _strict_int(value, what: str, key: bool = False) -> int:
 def graph_from_json(obj: dict, require_connected: bool = True) -> EmbeddedMultiGraph:
     try:
         vertices = [_strict_int(v, "vertex") for v in obj["vertices"]]
-        edges = {
-            _strict_int(rec["id"], "edge id"): (
-                _strict_int(rec["u"], "edge end"), _strict_int(rec["v"], "edge end")
-            )
-            for rec in obj["edges"]
-        }
+        # dict keys are checked here (1 and true would merge); ends and darts once built
+        edges = {_strict_int(rec["id"], "edge id"): (rec["u"], rec["v"]) for rec in obj["edges"]}
         rotation = {
-            _strict_int(v, "rotation key", key=True): [
-                (_strict_int(e, "dart edge"), _strict_int(s, "dart side")) for e, s in rot
-            ]
-            for v, rot in obj["rotation"].items()
+            _strict_int(v, "rotation key", key=True): rot for v, rot in obj["rotation"].items()
         }
         labels = {
             _strict_int(v, "label key", key=True): str(s) for v, s in obj.get("labels", {}).items()

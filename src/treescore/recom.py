@@ -23,8 +23,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
-from .graphs import EmbeddedMultiGraph, _strict_int, induced_subgraph
+from .graphs import EmbeddedMultiGraph, _strict_int
 from .partition import (
     Partition,
     PartitionError,
@@ -32,10 +33,11 @@ from .partition import (
     check_tolerant_partition,
     cut_edges,
 )
-from .sampler import _walk_incidence, _wilson_walk
+from .sampler import _ends, _walk_incidence, _wilson_walk
 
 __all__ = [
     "RecomError",
+    "MAX_STEPS",
     "ChainConfig",
     "StepResult",
     "SampleRecord",
@@ -52,6 +54,11 @@ class RecomError(ValueError):
     """Invalid chain configuration or step input."""
 
 
+# A run keeps one SampleRecord per step (about 330 B on 16x16 with m = 4) and
+# prints at the end, so this many steps hold about 330 MB before any output.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Parameters of one chain run.
@@ -60,7 +67,7 @@ class ChainConfig:
     vertex count from ``|V|/m`` (compared exactly: a size ``s`` qualifies when
     ``|s*m - |V|| <= tolerance * m``). ``max_resample`` caps the number of
     spanning trees drawn per step before the step is skipped. Every tree is
-    drawn by Wilson's walk.
+    drawn by Wilson's walk. ``steps`` is at most :data:`MAX_STEPS`.
     """
 
     steps: int
@@ -76,6 +83,8 @@ class ChainConfig:
             raise RecomError(str(exc)) from None
         if self.steps < 0:
             raise RecomError("steps must be non-negative")
+        if self.steps > MAX_STEPS:
+            raise RecomError(f"steps must be at most {MAX_STEPS}: each step's sample is kept")
         if self.balance_tolerance < 0:
             raise RecomError("balance tolerance must be non-negative")
         if self.max_resample < 1:
@@ -199,54 +208,38 @@ def adjacent_district_pairs(g: EmbeddedMultiGraph, p: Partition) -> list[tuple[i
 
 
 def balance_edges(
-    sub: EmbeddedMultiGraph,
-    tree: frozenset[int],
+    vertices: list[int],
+    tree: list[tuple[int, int | None, int | None]],
     n: int,
     m: int,
     tolerance: int,
 ) -> list[tuple[int, frozenset[int]]]:
     """Tree edges whose removal splits the region into two tolerable halves.
 
-    ``sub`` is the merged region, ``tree`` a spanning tree of it (edge ids of
-    ``sub``), and ``n``/``m`` the whole graph's vertex count and district
-    count. Returns ``(edge, vertices-on-the-root side)`` pairs sorted by edge
-    id; the root is the region's smallest vertex. For every tree edge the two
-    side sizes always total the region size.
+    ``vertices`` is the merged region's sorted vertex list, ``tree`` a
+    spanning tree of it as :func:`~treescore.sampler._wilson_walk` returns it
+    (``(vertex, edge, parent)`` positions in ``vertices``, rooted at the
+    first, each parent first), and ``n``/``m`` the whole graph's vertex and
+    district counts. Subtree sizes take one pass up the tree, each qualifying
+    edge's subtree one pass down. Returns ``(edge, vertices-on-the-root
+    side)`` pairs sorted by edge id.
     """
-    verts = sub.vertices
-    region = len(verts)
+    region = len(vertices)
     sizes = _sizes_within(n, m, tolerance)
     lo, hi = sizes.start, sizes.stop - 1
     fits = range(max(lo, region - hi), min(hi, region - lo) + 1)  # the side and the rest
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for e in tree:
-        u, v = sub.endpoints(e)
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    root = verts[0]
-    # Stack traversal: each subtree is popped contiguously, right after its root.
-    order: list[int] = []
-    parent_edge: list[int] = []
-    parent_at: list[int] = []  # position of the parent in ``order``
-    stack = [(root, -1, -1)]
-    seen = {root}
-    while stack:
-        v, pe, pi = stack.pop()
-        i = len(order)
-        order.append(v)
-        parent_edge.append(pe)
-        parent_at.append(pi)
-        for e, w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, e, i))
-    subtree = [1] * len(order)
+    subtree = [1] * region
+    for v, _, parent in islice(reversed(tree), region - 1):  # the root comes last
+        subtree[parent] += subtree[v]
     out = []
-    for i in range(len(order) - 1, 0, -1):
-        side = subtree[i]
-        subtree[parent_at[i]] += side
-        if side in fits:
-            out.append((parent_edge[i], frozenset(order[:i] + order[i + side:])))
+    for i, (v, e, _) in enumerate(tree[1:], 1):
+        if subtree[v] in fits:
+            root_side = [True] * region
+            root_side[v] = False
+            for w, _, parent in islice(tree, i + 1, None):
+                if not root_side[parent]:
+                    root_side[w] = False
+            out.append((e, frozenset(compress(vertices, root_side))))
     out.sort()
     return out
 
@@ -287,14 +280,14 @@ def _step(
     da, db = pairs[rng.randrange(len(pairs))]
     blocks = p.districts()
     merged = blocks[da] | blocks[db]
-    sub = induced_subgraph(g, merged)
+    vertices = sorted(merged)
     n, m = g.num_vertices, p.m
-    incident = _walk_incidence(sub)  # unchecked: sub joins two connected districts
+    incident = _walk_incidence(g, vertices)  # unchecked: it joins two connected districts
     for attempt in range(1, cfg.max_resample + 1):
         tree = _wilson_walk(incident, rng)
-        candidates = balance_edges(sub, tree, n, m, cfg.balance_tolerance)
+        candidates = balance_edges(vertices, tree, n, m, cfg.balance_tolerance)
         if candidates:
-            # balance_edges roots the tree at min(merged), so the root side is the low side.
+            # the walk roots the tree at min(merged), so the root side is the low side.
             _, low_side = candidates[rng.randrange(len(candidates))]
             high_side = merged - low_side
             assignment = p.as_dict()
@@ -323,7 +316,7 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
     Each cut size is the previous one updated over the merged region's edges.
     """
     _require_valid(g, p0, cfg)
-    ends = _edge_ends(g)
+    ends = _ends(g)
     rng = random.Random(cfg.seed)
     p = p0
     assignment = p.as_dict()
@@ -360,18 +353,8 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
     )
 
 
-def _edge_ends(g: EmbeddedMultiGraph) -> dict[int, list[int]]:
-    """Per vertex, the other end of each incident non-loop edge (parallel edges repeat)."""
-    ends: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.edges_dict().values():
-        if u != v:
-            ends[u].append(v)
-            ends[v].append(u)
-    return ends
-
-
 def _cut_change(
-    ends: dict[int, list[int]],
+    ends: dict[int, list[tuple[int, int]]],
     merged: frozenset[int],
     before: dict[int, int],
     after: dict[int, int],
@@ -385,6 +368,6 @@ def _cut_change(
     change = 0
     for v in merged:
         bv, av = before[v], after[v]
-        for w in ends[v]:
+        for _, w in ends[v]:
             change += (av != after[w]) - (bv != before[w])
     return change // 2

@@ -492,11 +492,11 @@ def sample_tree_wilson(
     Self-loops are skipped (they are in no tree and only delay the walk);
     parallel edges are distinct walk choices, so trees that use different
     copies are distinct outcomes. The walk incidence is built on the first
-    call for ``g`` and kept with it.
+    call for ``g`` and kept with it. Returns the rooted tree's edge set.
     """
     if rng is None:
         rng = Random(seed)
-    return _wilson_walk(_connected_walk_incidence(g), rng)
+    return frozenset(e for _, e, _ in _wilson_walk(_connected_walk_incidence(g), rng)[1:])
 
 
 @_memoised
@@ -504,28 +504,33 @@ def _connected_walk_incidence(g: EmbeddedMultiGraph):
     """:func:`_walk_incidence` of a connected ``g``, built once per graph."""
     if not g.is_connected():
         raise DisconnectedGraphError("graph is not connected")
-    return _walk_incidence(g)
+    return _walk_incidence(g, g.vertices)
 
 
-def _walk_incidence(g: EmbeddedMultiGraph) -> list[tuple[list[tuple[int, int] | None], int]]:
-    """Per vertex, in sorted order, its walk choices for :func:`_wilson_walk`.
-
-    A vertex's entry is ``(choices, k)``: its ``d`` walk steps ``(edge,
-    position of the other end)`` in ``edges_dict()`` order, loops skipped,
-    padded with ``None`` to ``2**k`` entries, where ``k = d.bit_length()``; a
-    vertex without steps has an empty list. ``g`` is not checked for
-    connectivity.
-    """
-    verts = g.vertices
-    at = {v: i for i, v in enumerate(verts)}
-    steps: list[list[tuple[int, int] | None]] = [[] for _ in verts]
+@_memoised
+def _ends(g: EmbeddedMultiGraph) -> dict[int, list[tuple[int, int]]]:
+    """Per vertex, its ``(edge, other end)`` pairs in ``edges_dict()`` order, loops skipped."""
+    ends: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for e, (u, v) in g.edges_dict().items():
-        if u == v:
-            continue
-        steps[at[u]].append((e, at[v]))
-        steps[at[v]].append((e, at[u]))
+        if u != v:
+            ends[u].append((e, v))
+            ends[v].append((e, u))
+    return ends
+
+
+def _walk_incidence(g: EmbeddedMultiGraph, vertices: list[int]) -> list[tuple[list, int]]:
+    """Per vertex of the sorted list ``vertices``, its walk choices for :func:`_wilson_walk`.
+
+    The walk stays on the subgraph ``vertices`` induce, unchecked for
+    connectivity. A vertex's entry is ``(choices, k)``: its ``d`` walk steps
+    ``(edge, position of the other end)`` in :func:`_ends` order, padded with
+    ``None`` to ``2**k`` entries, ``k = d.bit_length()`` (``[]`` for none).
+    """
+    ends = _ends(g)
+    at = {v: i for i, v in enumerate(vertices)}
     out = []
-    for c in steps:
+    for v in vertices:
+        c = [(e, at[w]) for e, w in ends[v] if w in at]
         k = len(c).bit_length()
         out.append((c + [None] * ((1 << k) - len(c)) if c else c, k))
     return out
@@ -533,10 +538,12 @@ def _walk_incidence(g: EmbeddedMultiGraph) -> list[tuple[list[tuple[int, int] | 
 
 def _wilson_walk(
     incident: list[tuple[list[tuple[int, int] | None], int]], rng: Random
-) -> frozenset[int]:
+) -> list[tuple[int, int | None, int | None]]:
     """The loop-erased walks of :func:`sample_tree_wilson` over a built incidence.
 
-    The root is the first vertex. Each walk step draws its choice as
+    Returns the spanning tree rooted at the first vertex as ``(vertex, edge,
+    parent)`` positions, the root's ``(0, None, None)`` first and every other
+    vertex after its parent. Each walk step draws its choice as
     ``rng.randrange(d)`` does: ``k = d.bit_length()`` bits from
     ``getrandbits``, drawn again while they are not below ``d`` (they land on
     the ``None`` padding). The trees and the state ``rng`` is left in are
@@ -550,7 +557,7 @@ def _wilson_walk(
     in_tree = [False] * n
     in_tree[0] = True
     step: list[tuple[int, int] | None] = [None] * n
-    tree: list[int] = []
+    tree: list[tuple[int, int | None, int | None]] = [(0, None, None)]
     for start in range(1, n):
         if in_tree[start]:
             continue
@@ -565,12 +572,14 @@ def _wilson_walk(
                 u = choice[1]
         except IndexError:
             raise ValueError(f"vertex at position {u} has no walk choice") from None
-        u = start
+        path, u = [], start
         while not in_tree[u]:
             in_tree[u] = True
-            e, u = step[u]
-            tree.append(e)
-    return frozenset(tree)
+            e, w = step[u]
+            path.append((u, e, w))
+            u = w
+        tree += reversed(path)  # from the tree back to start: each parent comes first
+    return tree
 
 
 class CachedTreeSampler:

@@ -23,7 +23,6 @@ from treescore import (
     enumerate_partitions,
     make_grid,
     run_chain,
-    sample_tree_wilson,
 )
 from treescore import recom
 from treescore.fixtures import _add_loop, _add_parallel, make_theta, random_planar_multigraph
@@ -128,7 +127,20 @@ def walk_graphs():
 
 
 def walk_degrees(g):
-    return {sum(c is not None for c in choices) for choices, _ in _walk_incidence(g)}
+    return {sum(c is not None for c in choices) for choices, _ in _walk_incidence(g, g.vertices)}
+
+
+def tree_edges(g, rooted):
+    """The edge set of a rooted tree from ``_wilson_walk``, once it is checked parent-first."""
+    verts = g.vertices
+    assert rooted[0] == (0, None, None)
+    assert sorted(v for v, _, _ in rooted) == list(range(len(verts)))
+    placed = {0}
+    for v, e, parent in rooted[1:]:
+        assert parent in placed
+        assert sorted(g.endpoints(e)) == sorted((verts[v], verts[parent]))
+        placed.add(v)
+    return frozenset(e for _, e, _ in rooted[1:])
 
 
 def test_walk_graphs_cover_the_edge_cases():
@@ -140,9 +152,9 @@ def test_walk_graphs_cover_the_edge_cases():
 
 def assert_walks_agree(g, seed, draws=5):
     fast, slow = Random(seed), Random(seed)
-    incident, oracle = _walk_incidence(g), oracle_incidence(g)
+    incident, oracle = _walk_incidence(g, g.vertices), oracle_incidence(g)
     for _ in range(draws):
-        assert _wilson_walk(incident, fast) == oracle_walk(oracle, slow)
+        assert tree_edges(g, _wilson_walk(incident, fast)) == oracle_walk(oracle, slow)
     assert fast.getstate() == slow.getstate()
 
 
@@ -199,12 +211,13 @@ def test_walk_raises_on_a_vertex_without_choices():
 def test_balance_edges_match_side_search(seed, size, copies, tree_seed, data):
     g = random_planar_multigraph(seed, max_vertices=size)
     g = with_parallels(g, data.draw(st.sampled_from(g.vertices)), copies)
-    tree = sample_tree_wilson(g, seed=tree_seed)
+    rooted = _wilson_walk(_walk_incidence(g, g.vertices), Random(tree_seed))
+    tree = tree_edges(g, rooted)
     region = g.num_vertices
     n = data.draw(st.integers(region, 3 * region))
     for tolerance in range(3):
         for m in range(1, n + 1):
-            assert balance_edges(g, tree, n, m, tolerance) == oracle_balance_edges(
+            assert balance_edges(g.vertices, rooted, n, m, tolerance) == oracle_balance_edges(
                 g, tree, n, m, tolerance
             )
 

@@ -8,6 +8,7 @@ quantities must round-trip as strings, never floats.
 import contextlib
 import io
 import json
+import signal
 import time
 from fractions import Fraction
 
@@ -336,6 +337,32 @@ def test_recom_malformed_config_is_an_input_error(grid44_file, partition44_file,
     )
     assert (code, stdout) == (1, "")
     assert len(stderr.splitlines()) == 1 and json.loads(stderr)["error"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_recom_refuses_more_steps_than_it_keeps_at_once(
+    grid44_file, partition44_file, tmp_path, source
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"steps": 2**70, "seed": 1}))
+    recom = ["recom", "--graph", grid44_file, "--partition", partition44_file]
+    argv = {
+        "flag": [*recom, "--steps", "10000000000000", "--seed", "1"],
+        "config": [*recom, "--config", str(config)],
+    }[source]
+
+    def expire(signum, frame):
+        pytest.fail(f"{argv} ran past 1 s")  # main does not catch this
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, stdout, stderr = run_cli(*argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, stdout) == (1, "")
+    assert "steps must be at most 1000000" in json.loads(stderr)["error"]
 
 
 HALVES = {str(v): 0 if v % 4 < 2 else 1 for v in range(16)}  # a valid plan of the 4x4 grid

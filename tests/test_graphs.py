@@ -251,6 +251,29 @@ def test_delete_edge_set_equals_successive_deletions(name, g):
         g.delete_edge(doomed + [max(g.edge_ids) + 1])
 
 
+ONE_EDGE = ({1: (0, 1)}, {0: [(1, 0)], 1: [(1, 1)]})  # edge 1 from 0 to 1
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.9, True, "1"])
+@pytest.mark.parametrize("where", ["edge id", "edge end", "dart edge", "dart side", "rotation key"])
+def test_graph_refuses_a_number_that_is_not_an_integer(where, bad):
+    """Each bad value would become 1 under ``int()``, which builds a valid graph."""
+    edges, rotation = ONE_EDGE
+    if where == "edge id":
+        edges = {bad: (0, 1)}
+    elif where == "edge end":
+        edges = {1: (0, bad)}
+    elif where == "dart edge":
+        rotation = {0: [(bad, 0)], 1: [(1, 1)]}
+    elif where == "dart side":
+        rotation = {0: [(1, 0)], 1: [(1, bad)]}
+    else:
+        rotation = {0: [(1, 0)], bad: [(1, 1)]}
+    with pytest.raises(InvalidGraphError, match=f"{where} must be an integer, not {bad!r}"):
+        EmbeddedMultiGraph(edges, rotation)
+    assert EmbeddedMultiGraph(*ONE_EDGE).edges_dict() == {1: (0, 1)}
+
+
 def test_derived_graphs_start_with_an_empty_memo():
     from treescore.partition import _adjacency
 

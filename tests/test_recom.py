@@ -37,6 +37,15 @@ def test_config_validation():
         ChainConfig(steps=1, seed=False)
 
 
+def test_config_bounds_the_steps():
+    assert ChainConfig(steps=recom.MAX_STEPS, seed=0).steps == 10**6
+    for steps in (recom.MAX_STEPS + 1, 10**13, 2**70):
+        with pytest.raises(RecomError, match="steps must be at most 1000000"):
+            ChainConfig(steps=steps, seed=0)
+        with pytest.raises(RecomError, match="steps must be at most 1000000"):
+            ChainConfig.from_json({"steps": steps, "seed": 0})
+
+
 def test_config_json_round_trip():
     cfg = ChainConfig(steps=10, seed=3, balance_tolerance=1, max_resample=7)
     assert ChainConfig.from_json(cfg.to_json()) == cfg
@@ -100,9 +109,12 @@ def test_adjacent_pairs_distant_districts():
     assert adjacent_district_pairs(path, p) == [(0, 1), (1, 2)]
 
 
+# the path 0-1-2-3 (edges 0, 1, 2) rooted at 0, as the walk returns it
+PATH4_ROOTED = [(0, None, None), (1, 0, 0), (2, 1, 1), (3, 2, 2)]
+
+
 def test_balance_edges_path_midpoint():
-    path = make_grid(4, 1)
-    candidates = balance_edges(path, frozenset({0, 1, 2}), 4, 2, 0)
+    candidates = balance_edges([0, 1, 2, 3], PATH4_ROOTED, 4, 2, 0)
     assert len(candidates) == 1
     edge, root_side = candidates[0]
     assert edge == 1
@@ -110,8 +122,7 @@ def test_balance_edges_path_midpoint():
 
 
 def test_balance_edges_tolerance_widens():
-    path = make_grid(4, 1)
-    loose = balance_edges(path, frozenset({0, 1, 2}), 4, 2, 1)
+    loose = balance_edges([0, 1, 2, 3], PATH4_ROOTED, 4, 2, 1)
     assert {e for e, _ in loose} == {0, 1, 2}
 
 
@@ -261,15 +272,32 @@ def test_run_chain_names_the_step_that_cuts_an_unbalanced_side(monkeypatch, grid
     assert len(steps) == 3
 
 
+def test_chain_steps_construct_no_graph(monkeypatch, grid44):
+    from treescore.graphs import EmbeddedMultiGraph
+
+    built = []
+    real_init = EmbeddedMultiGraph.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
+    monkeypatch.setattr(EmbeddedMultiGraph, "__init__", init)
+    stats = run_chain(grid44, p, ChainConfig(steps=40, seed=3))
+    assert stats.steps > stats.skipped_steps
+    assert built == []
+
+
 def test_wilson_steps_build_the_merged_region_once_unchecked(monkeypatch):
     from treescore.graphs import EmbeddedMultiGraph
 
     built, checked = [], []
     real_build, real_check = recom._walk_incidence, EmbeddedMultiGraph.is_connected
 
-    def building(sub):
-        built.append(sub.num_vertices)
-        return real_build(sub)
+    def building(h, vertices):
+        built.append(len(vertices))
+        return real_build(h, vertices)
 
     def counting(self):
         checked.append(self.num_vertices)

@@ -46,6 +46,11 @@ from treescore.fixtures import (
 from treescore.sampler import _walk_incidence, _wilson_walk, graph_engine
 
 
+def edge_set(rooted):
+    """The edges of a rooted tree from ``_wilson_walk``; the root's entry has none."""
+    return frozenset(e for _, e, _ in rooted[1:])
+
+
 def explore_all_paths(g, choose_edge):
     """Exact per-tree probability mass over every coin-outcome path."""
     masses: dict[frozenset, Fraction] = {}
@@ -253,8 +258,8 @@ def test_wilson_walk_reuses_its_incidence(name, g):
     """One incidence drawn from repeatedly gives the trees of repeated public calls."""
     a, b = Random(11), Random(11)
     fresh = [sample_tree_wilson(g, rng=a) for _ in range(30)]
-    incident = _walk_incidence(g)
-    assert [_wilson_walk(incident, b) for _ in range(30)] == fresh
+    incident = _walk_incidence(g, g.vertices)
+    assert [edge_set(_wilson_walk(incident, b)) for _ in range(30)] == fresh
     assert a.random() == b.random()
 
 
@@ -428,12 +433,14 @@ def test_wilson_builds_each_graph_incidence_once(monkeypatch):
 
     g = make_grid(3, 3)
     built = []
-    monkeypatch.setattr(sampler, "_walk_incidence", lambda h: built.append(h) or _walk_incidence(h))
+    monkeypatch.setattr(
+        sampler, "_walk_incidence", lambda h, vs: built.append((h, vs)) or _walk_incidence(h, vs)
+    )
     a, b = Random(5), Random(5)
     trees = [sample_tree_wilson(g, rng=a) for _ in range(1000)]
-    assert built == [g]
-    incident = _walk_incidence(g)
-    assert trees == [_wilson_walk(incident, b) for _ in range(1000)]
+    assert built == [(g, g.vertices)]
+    incident = _walk_incidence(g, g.vertices)
+    assert trees == [edge_set(_wilson_walk(incident, b)) for _ in range(1000)]
 
 
 @pytest.mark.parametrize("exact_limit", [64, 1])
