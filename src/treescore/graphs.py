@@ -63,15 +63,26 @@ class EmbeddedMultiGraph:
             self._check_structure()
 
     def _check_structure(self) -> None:
-        """Rebuild every id, end, key and dart by the integer rule, then check the rotation."""
+        """Rebuild every id, end, key and dart by the integer rule, then check the rotation.
+
+        A value whose type is exactly ``int`` passes as it is; only the others
+        go through :func:`_strict_int`.
+        """
         try:
             self._edges = {
-                _strict_int(e, "edge id"): (_strict_int(u, "edge end"), _strict_int(v, "edge end"))
+                e if type(e) is int else _strict_int(e, "edge id"): (
+                    u if type(u) is int else _strict_int(u, "edge end"),
+                    v if type(v) is int else _strict_int(v, "edge end"),
+                )
                 for e, (u, v) in self._edges.items()
             }
             self._rotation = {
-                _strict_int(v, "rotation key"): [
-                    (_strict_int(e, "dart edge"), _strict_int(s, "dart side")) for e, s in rot
+                v if type(v) is int else _strict_int(v, "rotation key"): [
+                    (
+                        e if type(e) is int else _strict_int(e, "dart edge"),
+                        s if type(s) is int else _strict_int(s, "dart side"),
+                    )
+                    for e, s in rot
                 ]
                 for v, rot in self._rotation.items()
             }

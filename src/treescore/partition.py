@@ -77,8 +77,12 @@ class Partition:
         return tuple(blocks)
 
     def digest(self) -> str:
-        raw = repr(self.canonical_key()).encode()
-        return hashlib.sha256(raw).hexdigest()[:16]
+        return _key_digest(self.canonical_key())
+
+
+def _key_digest(key: tuple[tuple[int, ...], ...]) -> str:
+    """The digest of a plan from its :meth:`Partition.canonical_key`."""
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -130,11 +134,23 @@ def check_tolerant_partition(
         if extra:
             problems.append(f"unknown vertices {extra}")
         return problems
-    for i, block in enumerate(p.districts()):
-        if not _size_within(len(block), n, p.m, tolerance):
+    return _district_problems(g, enumerate(p.districts()), p.m, tolerance)
+
+
+def _district_problems(g: EmbeddedMultiGraph, districts, m: int, tolerance: int) -> list[str]:
+    """:func:`check_tolerant_partition`'s problems with the ``(index, vertex set)`` districts.
+
+    In the order given: a district's size must lie within ``tolerance`` of
+    ``|V|/m`` and, if it does, the district must be connected.
+    """
+    adj = _adjacency(g)
+    n = len(adj)
+    problems = []
+    for i, block in districts:
+        if not _size_within(len(block), n, m, tolerance):
             problems.append(
                 f"district {i} has {len(block)} vertices, expected "
-                f"{Fraction(n, p.m)} within tolerance {tolerance}"
+                f"{Fraction(n, m)} within tolerance {tolerance}"
             )
         elif len(_component_sizes(adj, block)) != 1:
             # an empty district has no components and counts as disconnected

@@ -13,6 +13,14 @@ given ``(graph, start, config)``. Every tree is drawn by Wilson's
 loop-erased random walk. The chain's law depends only on each tree being
 uniform, not on how it is drawn.
 
+A step costs the merged region R, not the whole graph. The chain keeps its
+plan as a private state: the assignment, the district vertex sets, each
+district's sorted tuple for the digest, and the count of cut edges between
+each district pair that shares any. The pair to merge comes from that table,
+and a split updates the state over R's edges alone. The start plan is checked
+whole; each split is checked on its two new districts, the only ones that
+changed, with the rule and wording of :func:`check_tolerant_partition`.
+
 How closely the chain's empirical distribution tracks the spanning-tree-score
 distribution is reported by callers as a diagnostic only; nothing here asserts
 convergence.
@@ -24,14 +32,16 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import compress, islice
+from typing import NamedTuple
 
 from .graphs import EmbeddedMultiGraph, _strict_int
 from .partition import (
     Partition,
     PartitionError,
+    _district_problems,
+    _key_digest,
     _sizes_within,
     check_tolerant_partition,
-    cut_edges,
 )
 from .sampler import _ends, _walk_incidence, _wilson_walk
 
@@ -198,7 +208,10 @@ class EnsembleStats:
 
 
 def adjacent_district_pairs(g: EmbeddedMultiGraph, p: Partition) -> list[tuple[int, int]]:
-    """Unordered district pairs joined by at least one cut edge, sorted."""
+    """Unordered district pairs joined by at least one cut edge, sorted.
+
+    One scan of every edge; the chain reads the same pairs from its cut table.
+    """
     a = p.as_dict()
     pairs = set()
     for e, (u, v) in g.edges_dict().items():
@@ -244,6 +257,92 @@ def balance_edges(
     return out
 
 
+class _Plan:
+    """A checked plan as the chain's state, which each split updates over its merged region.
+
+    Holds the assignment, each district's vertex set and sorted tuple (what
+    the digest hashes), and ``pair_cuts``, the number of cut edges between
+    each district pair ``(a, b)``, ``a < b``, for the pairs that share any,
+    with their total ``cut``. Building it checks the whole plan under the
+    balance rule and raises :class:`~treescore.partition.PartitionError` if
+    it fails.
+    """
+
+    def __init__(self, g: EmbeddedMultiGraph, p: Partition, tolerance: int):
+        problems = check_tolerant_partition(g, p, tolerance)
+        if problems:
+            raise PartitionError("; ".join(problems))
+        self.g, self.m, self.tolerance = g, p.m, tolerance
+        self.ends = _ends(g)
+        self.assignment = p.as_dict()
+        self.blocks = p.districts()
+        self.keys = [tuple(sorted(b)) for b in self.blocks]
+        self.pair_cuts: dict[tuple[int, int], int] = {}
+        self.cut = self._count_cuts(self.assignment, 1)
+
+    def _count_cuts(self, region, sign: int) -> int:
+        """Add ``sign`` to ``pair_cuts`` for each cut edge at ``region``; return their number.
+
+        An edge inside ``region`` is counted from its lower end only.
+        """
+        a, pair_cuts = self.assignment, self.pair_cuts
+        count = 0
+        for v in region:
+            dv = a[v]
+            for _, w in self.ends[v]:
+                dw = a[w]
+                if dv != dw and (v < w or w not in region):
+                    pair = (dv, dw) if dv < dw else (dw, dv)
+                    pair_cuts[pair] = pair_cuts.get(pair, 0) + sign
+                    count += 1
+        return count
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """District pairs joined by at least one cut edge, sorted."""
+        return sorted(self.pair_cuts)
+
+    def split(
+        self, da: int, db: int, merged: frozenset[int], low_side: frozenset[int]
+    ) -> list[str]:
+        """Give ``low_side`` to district ``da`` and the rest of ``merged`` to ``db``.
+
+        ``merged`` holds the vertices of districts ``da < db``. Only the edges
+        at it are recounted, and only the two new districts are checked, by
+        :func:`check_tolerant_partition`'s rule and wording; their problems
+        are returned.
+        """
+        high_side = merged - low_side
+        removed = self._count_cuts(merged, -1)
+        a = self.assignment
+        for v in low_side:
+            a[v] = da
+        for v in high_side:
+            a[v] = db
+        self.cut += self._count_cuts(merged, 1) - removed
+        for pair in [pair for pair, c in self.pair_cuts.items() if not c]:
+            del self.pair_cuts[pair]
+        self.blocks[da], self.blocks[db] = low_side, high_side
+        self.keys[da], self.keys[db] = tuple(sorted(low_side)), tuple(sorted(high_side))
+        return _district_problems(self.g, ((da, low_side), (db, high_side)), self.m, self.tolerance)
+
+    def digest(self) -> str:
+        """:meth:`Partition.digest` of the plan."""
+        # disjoint sorted tuples sort by their least vertex, as canonical_key orders them
+        return _key_digest(tuple(sorted(self.keys)))
+
+    def partition(self) -> Partition:
+        return Partition(m=self.m, assignment=tuple(sorted(self.assignment.items())))
+
+
+class _Move(NamedTuple):
+    """What one step did to a :class:`_Plan`; ``problems`` lists what is wrong with its split."""
+
+    skipped: bool
+    resamples: int
+    merged: frozenset[int]
+    problems: list[str]
+
+
 def recom_step(
     g: EmbeddedMultiGraph,
     p: Partition,
@@ -254,90 +353,82 @@ def recom_step(
 
     Raises :class:`~treescore.partition.PartitionError` when the input
     partition is invalid under the chain's balance rule and
-    :class:`RecomError` when there is no district pair to merge (``m = 1``).
-    After a successful split, the side containing the merged region's smallest
-    vertex keeps the smaller of the two district labels.
+    :class:`RecomError` when there is no district pair to merge (``m = 1``)
+    or the split is invalid. After a successful split, the side containing
+    the merged region's smallest vertex keeps the smaller of the two district
+    labels. This is :func:`run_chain`'s step: the input is checked as a whole
+    plan, the split on its two new districts.
     """
-    _require_valid(g, p, cfg)
-    return _step(g, p, rng, cfg)
+    plan = _Plan(g, p, cfg.balance_tolerance)
+    move = _step(plan, rng, cfg)
+    _require_valid_split(1, move)
+    return StepResult(
+        partition=p if move.skipped else plan.partition(),
+        skipped=move.skipped,
+        resamples=move.resamples,
+        merged=move.merged,
+    )
 
 
-def _require_valid(g: EmbeddedMultiGraph, p: Partition, cfg: ChainConfig) -> None:
-    problems = check_tolerant_partition(g, p, cfg.balance_tolerance)
-    if problems:
-        raise PartitionError("; ".join(problems))
+def _require_valid_split(step: int, move: _Move) -> None:
+    if move.problems:
+        raise RecomError(f"step {step} produced an invalid partition: " + "; ".join(move.problems))
 
 
-def _step(
-    g: EmbeddedMultiGraph, p: Partition, rng: random.Random, cfg: ChainConfig
-) -> StepResult:
-    """The body of :func:`recom_step`, for a partition already checked."""
-    if p.m < 2:
+def _step(plan: _Plan, rng: random.Random, cfg: ChainConfig) -> _Move:
+    """Merge a random adjacent district pair of ``plan`` and split it, in place.
+
+    Costs the merged region R only: the pair comes from the plan's cut table,
+    R's walk choices from the graph's edge list, and the split updates the
+    plan over R's edges and checks the two new districts.
+    """
+    if plan.m < 2:
         raise RecomError("need at least two districts to merge")
-    pairs = adjacent_district_pairs(g, p)
+    pairs = plan.pairs()
     if not pairs:
         raise RecomError("no adjacent district pair exists")
     da, db = pairs[rng.randrange(len(pairs))]
-    blocks = p.districts()
-    merged = blocks[da] | blocks[db]
-    vertices = sorted(merged)
-    n, m = g.num_vertices, p.m
-    incident = _walk_incidence(g, vertices)  # unchecked: it joins two connected districts
+    merged = plan.blocks[da] | plan.blocks[db]
+    vertices = sorted(plan.keys[da] + plan.keys[db])
+    n, m = plan.g.num_vertices, plan.m
+    incident = _walk_incidence(plan.g, vertices)  # unchecked: it joins two connected districts
     for attempt in range(1, cfg.max_resample + 1):
         tree = _wilson_walk(incident, rng)
         candidates = balance_edges(vertices, tree, n, m, cfg.balance_tolerance)
         if candidates:
             # the walk roots the tree at min(merged), so the root side is the low side.
             _, low_side = candidates[rng.randrange(len(candidates))]
-            high_side = merged - low_side
-            assignment = p.as_dict()
-            for v in low_side:
-                assignment[v] = da
-            for v in high_side:
-                assignment[v] = db
-            return StepResult(
-                partition=Partition.from_dict(m, assignment),
-                skipped=False,
-                resamples=attempt,
-                merged=merged,
-            )
-    return StepResult(partition=p, skipped=True, resamples=cfg.max_resample, merged=merged)
+            return _Move(False, attempt, merged, plan.split(da, db, merged, low_side))
+    return _Move(True, cfg.max_resample, merged, [])
 
 
 def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> EnsembleStats:
     """Run the chain from ``p0`` and record every visited partition.
 
     Deterministic given ``(g, p0, cfg)``. Every visited partition is checked
-    under the balance rule exactly once: the start on entry, and each new split
-    when a step produces it (a skipped step keeps the partition already
-    checked). An invalid start raises
-    :class:`~treescore.partition.PartitionError`; an invalid split raises
-    :class:`RecomError`, since it would mean the step construction is broken.
-    Each cut size is the previous one updated over the merged region's edges.
+    under the balance rule exactly once: the start as a whole plan on entry,
+    and each new split on its two new districts when a step produces it (the
+    others are unchanged; a skipped step keeps the plan already checked). An
+    invalid start raises :class:`~treescore.partition.PartitionError`; an
+    invalid split raises :class:`RecomError`, since it would mean the step
+    construction is broken. A step costs the merged region only: the plan,
+    its cut size and its district-pair cut table are updated over the merged
+    region's edges, and the digest re-sorts the two new districts alone. One
+    :class:`~treescore.partition.Partition` is built, the final one.
     """
-    _require_valid(g, p0, cfg)
-    ends = _ends(g)
+    plan = _Plan(g, p0, cfg.balance_tolerance)
     rng = random.Random(cfg.seed)
-    p = p0
-    assignment = p.as_dict()
-    cut = cut_edges(g, p).size
-    samples = [SampleRecord(0, cut, p.digest())]
+    digest = plan.digest()
+    samples = [SampleRecord(0, plan.cut, digest)]
     skipped = 0
     for step in range(1, cfg.steps + 1):
-        result = _step(g, p, rng, cfg)
-        p = result.partition
-        if result.skipped:
+        move = _step(plan, rng, cfg)
+        if move.skipped:
             skipped += 1
         else:
-            problems = check_tolerant_partition(g, p, cfg.balance_tolerance)
-            if problems:
-                raise RecomError(
-                    f"step {step} produced an invalid partition: "
-                    + "; ".join(problems)
-                )
-            before, assignment = assignment, p.as_dict()
-            cut += _cut_change(ends, result.merged, before, assignment)
-        samples.append(SampleRecord(step, cut, p.digest()))
+            _require_valid_split(step, move)
+            digest = plan.digest()
+        samples.append(SampleRecord(step, plan.cut, digest))
     histogram: dict[int, int] = {}
     for s in samples:
         histogram[s.cut_size] = histogram.get(s.cut_size, 0) + 1
@@ -349,25 +440,5 @@ def run_chain(g: EmbeddedMultiGraph, p0: Partition, cfg: ChainConfig) -> Ensembl
         samples=tuple(samples),
         histogram=histogram,
         skipped_steps=skipped,
-        final_partition=p,
+        final_partition=plan.partition(),
     )
-
-
-def _cut_change(
-    ends: dict[int, list[tuple[int, int]]],
-    merged: frozenset[int],
-    before: dict[int, int],
-    after: dict[int, int],
-) -> int:
-    """Cut size after minus before, when only vertices of ``merged`` changed district.
-
-    An edge leaving ``merged`` joins a merged district to another one, so it
-    is cut both before and after and adds 0; an edge inside ``merged`` is
-    seen from both ends.
-    """
-    change = 0
-    for v in merged:
-        bv, av = before[v], after[v]
-        for _, w in ends[v]:
-            change += (av != after[w]) - (bv != before[w])
-    return change // 2

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 from treescore import (
     ChainConfig,
     EmbeddedMultiGraph,
+    RecomError,
+    adjacent_district_pairs,
     balance_edges,
+    check_tolerant_partition,
     cut_edges,
     enumerate_partitions,
     make_grid,
@@ -264,19 +267,40 @@ def test_coin_compares_exactly_next_to_a_draw():
 
 
 def recorded_chain(g, p, cfg):
-    """The chain's stats and the partition at each recorded step."""
+    """The chain's stats and the partition at each recorded step.
+
+    After every step, the chain's own state is held against a rescan of the
+    plan it visits: its district-pair cut table against
+    ``adjacent_district_pairs`` and per-pair counts of ``cut_edges``, and the
+    problems its check of the two new districts found against
+    ``check_tolerant_partition`` on the whole plan.
+    """
     visited = [p]
     real_step = recom._step
 
-    def step(*args):
-        result = real_step(*args)
-        visited.append(result.partition)
-        return result
+    def step(plan, rng, cfg):
+        move = real_step(plan, rng, cfg)
+        q = plan.partition()
+        visited.append(q)
+        assert plan.pairs() == adjacent_district_pairs(g, q)
+        assert plan.pair_cuts == rescanned_pair_cuts(g, q)
+        assert move.problems == check_tolerant_partition(g, q, cfg.balance_tolerance)
+        return move
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recom, "_step", step)
         stats = run_chain(g, p, cfg)
     return stats, visited
+
+
+def rescanned_pair_cuts(g, p):
+    """The number of cut edges between each pair of districts that share any."""
+    a = p.as_dict()
+    counts = {}
+    for e in cut_edges(g, p).edges:
+        pair = tuple(sorted(a[v] for v in g.endpoints(e)))
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts
 
 
 def assert_cut_sizes_rescanned(g, p, cfg):
@@ -318,3 +342,60 @@ def test_chain_cut_sizes_on_planar_multigraphs(
         return  # no balanced plan to start from
     cfg = ChainConfig(steps=15, seed=chain_seed, balance_tolerance=tolerance)
     assert_cut_sizes_rescanned(g, start, cfg)
+
+
+# Each doctored chain's error, as the chain that rebuilt and re-checked the
+# whole plan after every step worded it.
+LOPSIDED_ERRORS = {
+    (4, 4, 2, 1, 0, 3): "step 3 produced an invalid partition: district 0 has 14 vertices, "
+    "expected 8 within tolerance 0; district 1 has 2 vertices, expected 8 within tolerance 0",
+    (6, 6, 4, 3, 0, 2): "step 2 produced an invalid partition: district 0 has 17 vertices, "
+    "expected 9 within tolerance 0; district 2 has 1 vertices, expected 9 within tolerance 0",
+    (6, 5, 3, 5, 1, 2): "step 2 produced an invalid partition: district 0 has 17 vertices, "
+    "expected 10 within tolerance 1; district 1 has 4 vertices, expected 10 within tolerance 1",
+}
+
+
+@pytest.mark.parametrize("w,h,m,seed,tolerance,bad_step", sorted(LOPSIDED_ERRORS))
+def test_chain_words_a_lopsided_split_as_the_whole_plan_check(
+    monkeypatch, w, h, m, seed, tolerance, bad_step
+):
+    g = make_grid(w, h)
+    p = next(enumerate_partitions(g, m, max_vertices=g.num_vertices))
+    steps = []
+    real_step, real_balance = recom._step, recom.balance_edges
+
+    def counting(*args):
+        steps.append(None)
+        return real_step(*args)
+
+    def lopsided(vertices, tree, n, m, tolerance):
+        if len(steps) < bad_step:
+            return real_balance(vertices, tree, n, m, tolerance)
+        # the tree edges whose root side is out of tolerance, a leaf edge among them
+        return [c for c in real_balance(vertices, tree, n, m, n)
+                if not _size_within(len(c[1]), n, m, tolerance)]
+
+    monkeypatch.setattr(recom, "_step", counting)
+    monkeypatch.setattr(recom, "balance_edges", lopsided)
+    cfg = ChainConfig(steps=10, seed=seed, balance_tolerance=tolerance)
+    with pytest.raises(RecomError) as refused:
+        recorded_chain(g, p, cfg)  # which holds the split check against the whole-plan check
+    assert str(refused.value) == LOPSIDED_ERRORS[w, h, m, seed, tolerance, bad_step]
+    assert len(steps) == bad_step
+
+
+@pytest.mark.parametrize("w,h,m,tolerance", [(4, 4, 2, 0), (6, 4, 2, 1)])
+def test_chain_words_a_disconnected_split_as_the_whole_plan_check(monkeypatch, w, h, m, tolerance):
+    g = make_grid(w, h)
+    p = next(enumerate_partitions(g, m, max_vertices=g.num_vertices))
+    # every other vertex of the merged region: the grid's even columns, then the odd ones
+    monkeypatch.setattr(
+        recom, "balance_edges", lambda vertices, tree, *_: [(tree[1][1], frozenset(vertices[::2]))]
+    )
+    with pytest.raises(RecomError) as refused:
+        recorded_chain(g, p, ChainConfig(steps=10, seed=1, balance_tolerance=tolerance))
+    assert str(refused.value) == (
+        "step 1 produced an invalid partition: district 0 is not connected; "
+        "district 1 is not connected"
+    )

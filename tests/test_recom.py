@@ -233,30 +233,38 @@ def test_csv_and_json_output(grid22):
 
 @pytest.mark.parametrize("sampler", ["wilson"])  # the walk every step draws with
 def test_run_chain_checks_each_visited_partition_once(monkeypatch, grid44, sampler):
-    checked = []
-    real = recom.check_tolerant_partition
+    # the start is checked as a whole plan, each split on its two new districts
+    checked, split_checks = [], []
+    real, real_split = recom.check_tolerant_partition, recom._district_problems
 
     def counting(g, p, tolerance):
         checked.append(p)
         return real(g, p, tolerance)
 
+    def counting_split(g, districts, m, tolerance):
+        split_checks.append(tuple(districts))
+        return real_split(g, split_checks[-1], m, tolerance)
+
     monkeypatch.setattr(recom, "check_tolerant_partition", counting)
+    monkeypatch.setattr(recom, "_district_problems", counting_split)
     p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
     stats = run_chain(grid44, p, ChainConfig(steps=60, seed=3, max_resample=1))
     accepted = stats.steps - stats.skipped_steps
     assert accepted > 0 and stats.skipped_steps > 0
-    assert len(checked) == 1 + accepted
-    assert checked[0] == p
-    assert checked[-1].digest() == stats.final_partition.digest()
+    assert checked == [p]
+    assert len(split_checks) == accepted
+    final = stats.final_partition.districts()
+    assert [final[i] for i, _ in split_checks[-1]] == [block for _, block in split_checks[-1]]
+    assert [i for i, _ in split_checks[-1]] == [0, 1]
 
 
 def test_run_chain_names_the_step_that_cuts_an_unbalanced_side(monkeypatch, grid44):
     steps = []
-    real_pairs, real_balance = recom.adjacent_district_pairs, recom.balance_edges
+    real_step, real_balance = recom._step, recom.balance_edges
 
-    def pairs(g, p):
-        steps.append(p)
-        return real_pairs(g, p)
+    def counting(*args):
+        steps.append(args)
+        return real_step(*args)
 
     def lopsided(sub, tree, n, m, tolerance):
         if len(steps) < 3:
@@ -264,12 +272,22 @@ def test_run_chain_names_the_step_that_cuts_an_unbalanced_side(monkeypatch, grid
         # the tree edges that leave a side of other than n/m vertices, a leaf edge among them
         return [c for c in real_balance(sub, tree, n, m, n) if len(c[1]) * m != n]
 
-    monkeypatch.setattr(recom, "adjacent_district_pairs", pairs)
+    monkeypatch.setattr(recom, "_step", counting)
     monkeypatch.setattr(recom, "balance_edges", lopsided)
     p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
     with pytest.raises(RecomError, match="step 3 produced an invalid partition"):
         run_chain(grid44, p, ChainConfig(steps=10, seed=1))
     assert len(steps) == 3
+
+
+def test_recom_step_refuses_an_invalid_split(monkeypatch, grid44):
+    monkeypatch.setattr(
+        recom, "balance_edges", lambda vertices, tree, *_: [(tree[1][1], frozenset(vertices[:1]))]
+    )
+    p = Partition.from_dict(2, {v: (0 if v % 4 < 2 else 1) for v in grid44.vertices})
+    refused = "^step 1 produced an invalid partition: district 0 has 1 vertices"
+    with pytest.raises(RecomError, match=refused):
+        recom_step(grid44, p, Random(0), ChainConfig(steps=1, seed=0))
 
 
 def test_chain_steps_construct_no_graph(monkeypatch, grid44):
